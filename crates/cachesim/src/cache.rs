@@ -12,8 +12,6 @@ use crate::address::{Address, AddressMapper};
 use crate::config::CacheGeometry;
 use crate::replacement::{Replacement, ReplacementKind};
 use crate::WorkloadId;
-use stca_util::Rng64;
-use std::collections::HashMap;
 
 /// Result of a lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,32 +39,22 @@ pub struct Evicted {
     pub addr: Address,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Line {
-    tag: u64,
-    owner: WorkloadId,
-    valid: bool,
-    dirty: bool,
-}
-
-const INVALID_LINE: Line = Line {
-    tag: 0,
-    owner: 0,
-    valid: false,
-    dirty: false,
-};
-
-/// One cache level.
+/// One cache level, stored as structure-of-arrays: for line `set * ways +
+/// way`, `tags` holds its tag and `owners` its workload; per set, bit `way`
+/// of `valid_bits`/`dirty_bits` says whether it is valid/dirty. A lookup
+/// compares one contiguous `ways`-long slice of `tags`, and per-workload
+/// occupancy is a vector indexed by workload id, so no access hashes.
 #[derive(Debug)]
 pub struct CacheLevel {
     geometry: CacheGeometry,
     mapper: AddressMapper,
-    lines: Vec<Line>,       // sets * ways, row-major by set
-    repl: Vec<Replacement>, // per set
-    valid_bits: Vec<u64>,   // per set, bit i = way i valid
-    tick: u64,
-    occupancy: HashMap<WorkloadId, u64>,
-    rng: Rng64,
+    ways: usize,
+    tags: Vec<u64>,
+    owners: Vec<WorkloadId>,
+    valid_bits: Vec<u64>,
+    dirty_bits: Vec<u64>,
+    repl: Replacement,
+    occupancy: Vec<u64>,
 }
 
 impl CacheLevel {
@@ -78,12 +66,13 @@ impl CacheLevel {
         CacheLevel {
             geometry,
             mapper: AddressMapper::new(geometry.line_size, sets),
-            lines: vec![INVALID_LINE; sets * ways],
-            repl: (0..sets).map(|_| Replacement::new(kind, ways)).collect(),
+            ways,
+            tags: vec![0; sets * ways],
+            owners: vec![0; sets * ways],
             valid_bits: vec![0; sets],
-            tick: 0,
-            occupancy: HashMap::new(),
-            rng: Rng64::new(seed),
+            dirty_bits: vec![0; sets],
+            repl: Replacement::new(kind, sets, ways, seed),
+            occupancy: Vec::new(),
         }
     }
 
@@ -92,42 +81,46 @@ impl CacheLevel {
         &self.geometry
     }
 
-    /// Look up `addr` for `workload`; updates recency on hit. `fill_mask`
-    /// is only used to classify foreign-way hits.
+    /// Way of `set` holding a valid line with `tag`, if any.
+    #[inline]
+    fn find(&self, set: usize, tag: u64) -> Option<usize> {
+        let base = set * self.ways;
+        let valid = self.valid_bits[set];
+        self.tags[base..base + self.ways]
+            .iter()
+            .enumerate()
+            .position(|(w, &t)| t == tag && (valid >> w) & 1 == 1)
+    }
+
+    /// Look up `addr`; updates recency on hit. `fill_mask` is only used to
+    /// classify foreign-way hits.
+    #[inline]
     pub fn lookup(&mut self, addr: Address, fill_mask: u64) -> AccessOutcome {
         let set = self.mapper.set(addr);
-        let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
-        self.tick += 1;
-        for w in 0..ways {
-            let line = &self.lines[base + w];
-            if line.valid && line.tag == tag {
-                self.repl[set].touch(w, self.tick);
-                return AccessOutcome::Hit {
-                    way: w,
-                    foreign_way: (fill_mask >> w) & 1 == 0,
-                };
+        match self.find(set, self.mapper.tag(addr)) {
+            Some(way) => {
+                self.repl.touch(set, self.ways, way);
+                AccessOutcome::Hit {
+                    way,
+                    foreign_way: (fill_mask >> way) & 1 == 0,
+                }
             }
+            None => AccessOutcome::Miss,
         }
-        AccessOutcome::Miss
     }
 
     /// Mark the line holding `addr` dirty, if present. Returns whether the
     /// line was found.
+    #[inline]
     pub fn mark_dirty(&mut self, addr: Address) -> bool {
         let set = self.mapper.set(addr);
-        let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
-        for w in 0..ways {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.dirty = true;
-                return true;
+        match self.find(set, self.mapper.tag(addr)) {
+            Some(way) => {
+                self.dirty_bits[set] |= 1 << way;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Install `addr` for `owner`, choosing a victim among `fill_mask` ways.
@@ -136,6 +129,7 @@ impl CacheLevel {
     /// way in this cache (the line simply is not cached — CAT cannot block
     /// the access itself).
     #[allow(clippy::result_unit_err)]
+    #[inline]
     pub fn fill(
         &mut self,
         addr: Address,
@@ -144,40 +138,43 @@ impl CacheLevel {
         dirty: bool,
     ) -> Result<Option<Evicted>, ()> {
         let set = self.mapper.set(addr);
-        let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
-        self.tick += 1;
-        let victim_way = self.repl[set]
-            .victim(fill_mask, self.valid_bits[set], ways, &mut self.rng)
-            .ok_or(())?;
-        let slot = &mut self.lines[base + victim_way];
-        let evicted = if slot.valid {
-            let ev = Evicted {
-                owner: slot.owner,
-                dirty: slot.dirty,
-                addr: self.mapper.compose(slot.tag, set),
-            };
-            *self.occupancy.entry(slot.owner).or_insert(0) = self
-                .occupancy
-                .get(&slot.owner)
-                .copied()
-                .unwrap_or(0)
-                .saturating_sub(1);
-            Some(ev)
+        let ways = self.ways;
+        let valid = self.valid_bits[set];
+        let way = self.repl.victim(set, ways, fill_mask, valid).ok_or(())?;
+        let slot = set * ways + way;
+        let bit = 1u64 << way;
+        let evicted = (valid & bit != 0).then(|| {
+            let prev = self.owners[slot];
+            self.release(prev);
+            Evicted {
+                owner: prev,
+                dirty: self.dirty_bits[set] & bit != 0,
+                addr: self.mapper.compose(self.tags[slot], set),
+            }
+        });
+        self.tags[slot] = self.mapper.tag(addr);
+        self.owners[slot] = owner;
+        self.valid_bits[set] = valid | bit;
+        if dirty {
+            self.dirty_bits[set] |= bit;
         } else {
-            None
-        };
-        *slot = Line {
-            tag,
-            owner,
-            valid: true,
-            dirty,
-        };
-        self.valid_bits[set] |= 1 << victim_way;
-        *self.occupancy.entry(owner).or_insert(0) += 1;
-        self.repl[set].touch(victim_way, self.tick);
+            self.dirty_bits[set] &= !bit;
+        }
+        let idx = owner as usize;
+        if idx >= self.occupancy.len() {
+            self.occupancy.resize(idx + 1, 0);
+        }
+        self.occupancy[idx] += 1;
+        self.repl.touch(set, ways, way);
         Ok(evicted)
+    }
+
+    /// One line of `owner` left the cache.
+    #[inline]
+    fn release(&mut self, owner: WorkloadId) {
+        if let Some(n) = self.occupancy.get_mut(owner as usize) {
+            *n = n.saturating_sub(1);
+        }
     }
 
     /// Invalidate the line holding `addr`, if present. Returns whether a
@@ -185,30 +182,19 @@ impl CacheLevel {
     /// writeback themselves when needed).
     pub fn invalidate(&mut self, addr: Address) -> bool {
         let set = self.mapper.set(addr);
-        let tag = self.mapper.tag(addr);
-        let ways = self.geometry.ways;
-        let base = set * ways;
-        for w in 0..ways {
-            let line = &mut self.lines[base + w];
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                let owner = line.owner;
-                self.valid_bits[set] &= !(1 << w);
-                *self.occupancy.entry(owner).or_insert(0) = self
-                    .occupancy
-                    .get(&owner)
-                    .copied()
-                    .unwrap_or(0)
-                    .saturating_sub(1);
-                return true;
+        match self.find(set, self.mapper.tag(addr)) {
+            Some(way) => {
+                self.valid_bits[set] &= !(1 << way);
+                self.release(self.owners[set * self.ways + way]);
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Lines currently owned by `workload`.
     pub fn occupancy_of(&self, workload: WorkloadId) -> u64 {
-        self.occupancy.get(&workload).copied().unwrap_or(0)
+        self.occupancy.get(workload as usize).copied().unwrap_or(0)
     }
 
     /// Total valid lines.
@@ -218,23 +204,23 @@ impl CacheLevel {
 
     /// Invalidate every line owned by `workload` (container teardown).
     pub fn flush_workload(&mut self, workload: WorkloadId) {
-        let ways = self.geometry.ways;
-        for set in 0..self.geometry.sets() {
-            for w in 0..ways {
-                let line = &mut self.lines[set * ways + w];
-                if line.valid && line.owner == workload {
-                    line.valid = false;
+        for (set, owners) in self.owners.chunks_exact(self.ways).enumerate() {
+            for (w, &o) in owners.iter().enumerate() {
+                if o == workload {
                     self.valid_bits[set] &= !(1 << w);
                 }
             }
         }
-        self.occupancy.insert(workload, 0);
+        if let Some(n) = self.occupancy.get_mut(workload as usize) {
+            *n = 0;
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use stca_util::Rng64;
 
     fn small_cache() -> CacheLevel {
         // 4 sets x 4 ways x 64B lines = 1 KB

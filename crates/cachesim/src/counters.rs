@@ -313,6 +313,11 @@ impl CounterBank {
         self.banks.get(w as usize).copied().unwrap_or_default()
     }
 
+    /// Sum of one counter over every workload.
+    pub fn total(&self, c: Counter) -> u64 {
+        self.banks.iter().map(|b| b.get(c)).sum()
+    }
+
     /// Workloads with any recorded activity.
     pub fn workloads(&self) -> Vec<WorkloadId> {
         self.touched

@@ -36,22 +36,43 @@ use stca_workloads::{AccessGenerator, BenchmarkId, WorkloadSpec};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-const USAGE: &str = "\
-stca — short-term cache allocation toolkit
+const HEADER: &str = "stca — short-term cache allocation toolkit\n";
 
-USAGE:
-  stca characterize [--accesses N]
-  stca profile --pair A,B [-n CONDITIONS] [-o FILE] [--seed N]
-  stca predict --profiles FILE --pair A,B --util U --timeouts TA,TB [--seed N]
-  stca explore --profiles FILE --pair A,B [--util U] [--seed N]
-  stca serve [--requests N] [--rate R] [--deadline S] [--seed N]
-  stca scenario check FILE
-  stca scenario run FILE [--artifacts DIR] [--until STAGE]
-  stca trace report FILE [--decision-log FILE]
-  stca trace check FILE...
+/// One synopsis line per subcommand form, each `stca <subcommand> ...`.
+const SYNOPSIS: &str = "\
+stca characterize [--accesses N]
+stca profile --pair A,B [-n CONDITIONS] [-o FILE] [--seed N]
+stca predict --profiles FILE --pair A,B --util U --timeouts TA,TB [--seed N]
+stca explore --profiles FILE --pair A,B [--util U] [--seed N]
+stca serve [--requests N] [--rate R] [--deadline S] [--seed N]
+stca scenario check FILE
+stca scenario run FILE [--artifacts DIR] [--until STAGE]
+stca trace report FILE [--decision-log FILE]
+stca trace check FILE...
+";
 
+/// Every subcommand.
+const ALL: &[&str] = &[
+    "characterize",
+    "profile",
+    "predict",
+    "explore",
+    "serve",
+    "scenario",
+    "trace",
+];
+
+/// Help sections in print order, each with the subcommands it documents.
+const SECTIONS: [(&[&str], &str); 10] = [
+    (
+        &["characterize", "profile", "predict", "explore", "serve"],
+        "\
 Benchmarks: jac knn kmeans spkmeans spstream bfs social redis
-
+",
+    ),
+    (
+        &["scenario"],
+        "\
 Scenario files (stca scenario): one declarative spec drives the whole
 profile -> dataset -> train -> explore -> serve pipeline (see the
 \"Scenario files\" section of the README for the format):
@@ -62,11 +83,19 @@ profile -> dataset -> train -> explore -> serve pipeline (see the
                         result is bit-identical at any --threads
   --artifacts DIR       artifact dir (default [artifacts].dir, else runs/<name>)
   --until STAGE         stop after STAGE (profile|dataset|train|explore|serve)
-
+",
+    ),
+    (
+        &["characterize", "profile", "predict", "explore", "serve"],
+        "\
 Spec layering (any subcommand): --spec FILE starts from a scenario file
 instead of built-in defaults; flags override spec keys, spec keys
 override defaults.
-
+",
+    ),
+    (
+        &["serve"],
+        "\
 Serving (stca serve): replay a seeded arrival stream through the online
 control loop (admission queue -> predict -> STAP decide -> drain):
   --requests N          requests to replay (default 100000)
@@ -92,7 +121,11 @@ control loop (admission queue -> predict -> STAP decide -> drain):
   --pair A,B            required with --profiles (training pair)
   --decision-log FILE   write the per-request decision log
   --health-out FILE     write a JSON health snapshot (report + serve.*)
-
+",
+    ),
+    (
+        &["serve"],
+        "\
 Adaptation (stca serve): the drift-aware model lifecycle — per-shard
 drift detection over EA residuals, warm-start candidate retrain, shadow
 scoring, guarded promotion, automatic rollback. Off by default; any
@@ -109,7 +142,11 @@ other --adapt-* flag switches it on (bit-identical at any --threads):
   --adapt-guard-band X  allowed residual regression factor (1.5)
   --adapt-history N     bounded model-version history depth (4)
   --adapt-budget S      virtual retrain budget; slower retrains abort (1.0)
-
+",
+    ),
+    (
+        &["serve"],
+        "\
 Tracing (stca serve): any --trace-* flag enables the per-request flight
 recorder (error-class traces always retained, completions head-sampled;
 bit-identical at any --threads; the decision hash is unchanged):
@@ -118,7 +155,11 @@ bit-identical at any --threads; the decision hash is unchanged):
   --trace-svg FILE      write an SVG waterfall of the retained traces
   --trace-sample N      head-sample 1 in N completed requests (64)
   --trace-ring N        sampled-completion ring capacity (256)
-
+",
+    ),
+    (
+        &["trace"],
+        "\
 Trace artifacts (stca trace): consume dumps written by --trace-out:
   report FILE           per-stage latency tables, disposition counts, and
                         slowest retained requests; with --decision-log,
@@ -126,11 +167,19 @@ Trace artifacts (stca trace): consume dumps written by --trace-out:
                         deadline-exceeded / drained decision has a trace)
   check FILE...         schema-validate trace JSON (exit 1 on the first
                         invalid file)
-
+",
+    ),
+    (
+        ALL,
+        "\
 Parallelism (any subcommand):
   --threads N           worker threads (default: STCA_THREADS, else all cores);
                         results are identical at any thread count
-
+",
+    ),
+    (
+        &["profile", "explore"],
+        "\
 Fault tolerance (profile/explore):
   --fault-plan SPEC     inject deterministic faults (presets: none, ci-default,
                         heavy; overrides: seed=, crash=, timeout=, dropout=,
@@ -140,11 +189,53 @@ Fault tolerance (profile/explore):
   --checkpoint FILE     persist finished work units (profile conditions,
                         explore grid cells); a re-run resumes from FILE and
                         produces bit-identical output
-
+",
+    ),
+    (
+        ALL,
+        "\
 Observability (any subcommand):
   --metrics-out FILE    write a JSON metrics report and print a summary table
   STCA_LOG=info         enable logging (e.g. STCA_LOG=info,queuesim=trace)
-";
+",
+    ),
+];
+
+/// Usage text: everything for `None`, else the synopsis lines and help
+/// sections of one subcommand (`None` too if the name is unknown).
+fn usage(cmd: Option<&str>) -> Option<String> {
+    if cmd.is_some_and(|c| !ALL.contains(&c)) {
+        return None;
+    }
+    let wanted = |cmds: &[&str]| cmd.is_none_or(|c| cmds.contains(&c));
+    let mut text = format!("{HEADER}\nUSAGE:\n");
+    for line in SYNOPSIS.lines() {
+        let sub = line.split_whitespace().nth(1).unwrap_or_default();
+        if wanted(&[sub]) {
+            text.push_str(&format!("  {line}\n"));
+        }
+    }
+    for (cmds, section) in SECTIONS {
+        if wanted(cmds) {
+            text.push('\n');
+            text.push_str(section);
+        }
+    }
+    Some(text)
+}
+
+/// Whether `--help` or `-h` stands where a flag name is expected in
+/// `args` (so `-o -h` still names the file `-h`).
+fn wants_help(args: &[String]) -> bool {
+    let mut i = 0;
+    while let Some(token) = args.get(i) {
+        if token == "--help" || token == "-h" {
+            return true;
+        }
+        i += if token.contains('=') { 1 } else { 2 };
+    }
+    false
+}
 
 /// Flags every subcommand understands but the spec layer does not own:
 /// they configure the process (threads, metrics, logging) or name files
@@ -788,6 +879,26 @@ fn real_main(argv: &[String]) -> Result<(), StcaError> {
     let Some(cmd) = argv.first() else {
         return Err(StcaError::usage("missing subcommand"));
     };
+    // `stca CMD [POSITIONAL...] --help`: that subcommand's usage
+    let rest = &argv[1..];
+    let flags = rest
+        .iter()
+        .position(|a| a.starts_with('-'))
+        .unwrap_or(rest.len());
+    if wants_help(&rest[flags..]) {
+        if let Some(text) = usage(Some(cmd)) {
+            return print_stdout(&text);
+        }
+    }
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        return match usage(argv.get(1).map(String::as_str)) {
+            Some(text) => print_stdout(&text),
+            None => Err(StcaError::usage(format!(
+                "no help for unknown subcommand {:?}",
+                argv[1]
+            ))),
+        };
+    }
     if cmd == "trace" {
         return cmd_trace(&argv[1..]);
     }
@@ -801,10 +912,6 @@ fn real_main(argv: &[String]) -> Result<(), StcaError> {
         "predict" => cmd_predict(&args),
         "explore" => cmd_explore(&args),
         "serve" => cmd_serve(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
         other => Err(StcaError::usage(format!("unknown subcommand {other:?}"))),
     }
 }
@@ -825,7 +932,7 @@ fn main() -> ExitCode {
         Err(e) => {
             eprintln!("error: {e}");
             if e.exit_code() == 2 {
-                eprintln!("\n{USAGE}");
+                eprintln!("\n{}", usage(None).unwrap_or_default());
             }
             ExitCode::from(e.exit_code())
         }

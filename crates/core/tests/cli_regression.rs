@@ -256,6 +256,43 @@ fn unknown_flags_and_keys_exit_2() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `--help`/`-h` on any subcommand prints that subcommand's usage to
+/// stdout and exits 0 instead of failing as a flag without a value.
+#[test]
+fn help_flag_prints_subcommand_usage() {
+    let dir = temp_dir("help");
+    for (args, synopsis) in [
+        (&["scenario", "run", "--help"][..], "stca scenario run FILE"),
+        (&["scenario", "--help"], "stca scenario check FILE"),
+        (&["trace", "check", "-h"], "stca trace check FILE..."),
+        (&["serve", "--requests", "5", "--help"], "stca serve ["),
+        (&["profile", "-h"], "stca profile --pair A,B"),
+        (&["explore", "--help"], "stca explore --profiles FILE"),
+        (&["predict", "--help"], "stca predict --profiles FILE"),
+        (&["characterize", "--help"], "stca characterize"),
+        (&["help", "trace"], "stca trace report FILE"),
+    ] {
+        let out = run_in(&dir, args);
+        assert_eq!(out.status.code(), Some(0), "stca {args:?} must exit 0");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(text.contains(synopsis), "stca {args:?} printed:\n{text}");
+        // only the asked-for subcommand's synopsis lines
+        let other = if args[0] == "serve" {
+            "stca profile"
+        } else {
+            "stca serve"
+        };
+        assert!(!text.contains(other), "stca {args:?} printed:\n{text}");
+    }
+    // the full usage still lists every subcommand
+    let text = stdout_of(&dir, &["--help"]);
+    assert!(text.contains("stca serve") && text.contains("stca trace check"));
+    // help for an unknown subcommand is still a usage error
+    let out = run_in(&dir, &["help", "warp"]);
+    assert_eq!(out.status.code(), Some(2), "help for unknown subcommand");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 const MINI_SCENARIO: &str = "\
 [scenario]
 name = \"mini\"

@@ -249,6 +249,7 @@ impl Station {
 /// end of each run).
 struct ExecMetrics {
     experiments: Arc<stca_obs::Counter>,
+    accesses: Arc<stca_obs::Counter>,
     trace_samples: Arc<stca_obs::Counter>,
     cos_switches: Arc<stca_obs::Counter>,
     ea: Arc<stca_obs::Histogram>,
@@ -259,6 +260,7 @@ fn exec_metrics() -> &'static ExecMetrics {
     static METRICS: OnceLock<ExecMetrics> = OnceLock::new();
     METRICS.get_or_init(|| ExecMetrics {
         experiments: stca_obs::counter("profiler.experiments_total"),
+        accesses: stca_obs::counter("cachesim.accesses_total"),
         trace_samples: stca_obs::counter("profiler.trace_samples_total"),
         cos_switches: stca_obs::counter("profiler.cos_switches_total"),
         ea: stca_obs::histogram("profiler.ea"),
@@ -358,14 +360,15 @@ impl TestEnvironment {
     }
 
     /// Calibrate one benchmark's cycles→seconds factor: run it solo on its
-    /// private allocation and match the Table-1 mean service time.
+    /// private allocation and match the Table-1 mean service time. Also
+    /// returns the cache accesses the calibration run simulated.
     fn calibrate(
         spec: &WorkloadSpec,
         config: &HierarchyConfig,
         policy: &ShortTermPolicy,
         accesses_mean: u64,
         seed: u64,
-    ) -> f64 {
+    ) -> (f64, u64) {
         let mut hier = Hierarchy::new(*config, seed ^ 0xCA11);
         let ways = config.llc.ways;
         hier.set_llc_mask(0, policy.default.to_cbm(ways).expect("layout fits cache"));
@@ -401,7 +404,7 @@ impl TestEnvironment {
             }
         }
         let mean_cycles = measured_cycles as f64 / measured_queries as f64;
-        spec.mean_service_time / mean_cycles
+        (spec.mean_service_time / mean_cycles, hier.accesses())
     }
 
     /// Run the experiment with the condition's policies.
@@ -439,19 +442,21 @@ impl TestEnvironment {
             .min(((40.0 / spec.condition.sample_period).floor() as usize).max(1));
 
         let mut stations: Vec<Station> = Vec::new();
+        let mut calibration_accesses = 0;
         for (i, wc) in spec.condition.workloads.iter().enumerate() {
             let wspec = WorkloadSpec::for_benchmark(wc.benchmark);
             let accesses_mean = spec
                 .accesses_per_query
                 .unwrap_or(wspec.mean_accesses_per_query);
             let policy = policies[i];
-            let sec_per_cycle = Self::calibrate(
+            let (sec_per_cycle, accesses) = Self::calibrate(
                 &wspec,
                 config,
                 &policy,
                 accesses_mean,
                 spec.seed ^ ((i as u64 + 1) << 32),
             );
+            calibration_accesses += accesses;
             let servers = 2;
             let inter_arrival = Distribution::Exponential {
                 mean: wspec.mean_service_time / (wc.utilization * servers as f64),
@@ -574,6 +579,7 @@ impl TestEnvironment {
             })
             .collect();
         metrics.experiments.inc();
+        metrics.accesses.add(calibration_accesses + hier.accesses());
         let elapsed = timer.stop();
         stca_obs::debug!(
             "experiment done in {elapsed:.3}s: {} workloads x {} measured queries",

@@ -49,6 +49,7 @@ fn pipeline_populates_metrics_across_crates() {
     for expect in [
         "queuesim.events_total",
         "profiler.experiments_total",
+        "cachesim.accesses_total",
         "profiler.ea",
         "deepforest.cascade.fits_total",
         "core.predictor.trainings_total",
@@ -69,6 +70,9 @@ fn pipeline_populates_metrics_across_crates() {
     };
     assert_eq!(get_counter("profiler.experiments_total"), 4);
     assert!(get_counter("queuesim.events_total") > 0);
+    // each experiment's calibration runs alone simulate 24 queries of 400
+    // accesses for each of its two stations
+    assert!(get_counter("cachesim.accesses_total") > 4 * 2 * 24 * 400);
     assert_eq!(get_counter("core.predictor.trainings_total"), 1);
 
     // exports include every metric and stay well-formed
