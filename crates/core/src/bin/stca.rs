@@ -549,56 +549,95 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
         (!spec.artifacts.trace_svg.is_empty()).then(|| PathBuf::from(&spec.artifacts.trace_svg));
     let profiles_path = matches!(spec.serve.predictor, stca_scenario::PredictorKind::Trained)
         .then(|| PathBuf::from(&spec.profile.out));
-    let n = spec.serve.requests;
-    if stca_scenario::convert::fleet_config(&spec).is_some() {
-        return cmd_serve_fleet(
-            &spec,
-            profiles_path.as_deref(),
-            trace_out.as_deref(),
-            trace_svg.as_deref(),
-        );
-    }
     let report = pipeline::run_serve(&spec, profiles_path.as_deref(), trace_out.as_deref())?;
-    let a = &report.accounting;
+    let shards = &report.shards;
+    let fleet = shards.len() > 1;
+    let sum = |f: fn(&stca_serve::ShardStats) -> u64| -> u64 { shards.iter().map(f).sum() };
+    let across = if fleet {
+        format!(" across {} shards", shards.len())
+    } else {
+        String::new()
+    };
     println!(
-        "served {} requests in {:.1} virtual seconds",
-        n, report.virtual_end_s
+        "served {} requests{across} in {:.1} virtual seconds",
+        report.offered, report.virtual_end_s
     );
     println!(
         "  completed {}  shed {} (overload {} / deadline {} / failed {})  drained {}",
-        a.completed,
-        a.shed(),
-        a.shed_overload,
-        a.shed_deadline,
-        a.shed_failed,
-        a.drained
+        report.completed(),
+        sum(|s| s.accounting.shed()),
+        sum(|s| s.accounting.shed_overload),
+        sum(|s| s.accounting.shed_deadline),
+        sum(|s| s.accounting.shed_failed),
+        sum(|s| s.accounting.drained)
     );
     println!(
         "  deadline-exceeded {}  degraded {}  watchdog trips {}  retries {}",
-        a.deadline_exceeded, report.degraded, report.watchdog_trips, report.retries
+        sum(|s| s.accounting.deadline_exceeded),
+        sum(|s| s.degraded),
+        sum(|s| s.watchdog_trips),
+        sum(|s| s.retries)
     );
     println!(
         "  breaker: opens {} closes {} probes {} rejects {}",
-        report.breaker_opens, report.breaker_closes, report.breaker_probes, report.breaker_rejects
+        sum(|s| s.breaker_opens),
+        sum(|s| s.breaker_closes),
+        sum(|s| s.breaker_probes),
+        sum(|s| s.breaker_rejects)
     );
-    if let Some(ad) = &report.adapt {
+    if fleet {
+        println!(
+            "  fleet: rerouted {}  router-shed {}  crashed shards {:?}",
+            report.rerouted,
+            report.router_shed,
+            report.crashed_shards()
+        );
+        for s in shards {
+            let a = &s.accounting;
+            println!(
+                "  shard {}: admitted {}  completed {}  shed {}  drained {}  \
+                 rerouted-out {}  crashes {}  p99 {:.4}s",
+                s.id,
+                a.admitted,
+                a.completed,
+                a.shed(),
+                a.drained,
+                s.rerouted_out,
+                s.crashes,
+                s.p99_response_s
+            );
+        }
+    }
+    let adapts: Vec<&stca_serve::AdaptStats> =
+        shards.iter().filter_map(|s| s.adapt.as_ref()).collect();
+    if !adapts.is_empty() {
+        let total =
+            |f: fn(&stca_serve::AdaptStats) -> u64| -> u64 { adapts.iter().map(|a| f(a)).sum() };
+        let versions: Vec<String> = adapts
+            .iter()
+            .map(|a| format!("v{}", a.active_version))
+            .collect();
         println!(
             "  adapt: drifts {}  retrains {} (failed {} / slow {})  promotions {}  \
-             rollbacks {}  active v{}",
-            ad.drifts,
-            ad.retrains,
-            ad.retrain_failures,
-            ad.retrain_slows,
-            ad.promotions,
-            ad.rollbacks,
-            ad.active_version
+             rollbacks {}  active {}",
+            total(|a| a.drifts),
+            total(|a| a.retrains),
+            total(|a| a.retrain_failures),
+            total(|a| a.retrain_slows),
+            total(|a| a.promotions),
+            total(|a| a.rollbacks),
+            versions.join(",")
         );
     }
+    let ratios: Vec<String> = shards
+        .iter()
+        .map(|s| format!("{:.2}", stca_serve::TIMEOUT_GRID[s.final_timeout_idx]))
+        .collect();
     println!(
-        "  policy: applies {} suppressed {} (final timeout ratio {:.2})",
-        report.policy_applies,
-        report.policy_suppressed,
-        stca_serve::TIMEOUT_GRID[report.final_timeout_idx]
+        "  policy: applies {} suppressed {} (final timeout ratio {})",
+        sum(|s| s.policy_applies),
+        sum(|s| s.policy_suppressed),
+        ratios.join(",")
     );
     println!(
         "  response: mean {:.4}s p50 {:.4}s p99 {:.4}s",
@@ -608,9 +647,9 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
     if let Some(dump) = &report.trace_dump {
         emit_trace_artifacts(dump, trace_out.as_deref(), trace_svg.as_deref())?;
     }
-    if !a.balanced() {
+    if !report.balanced() {
         return Err(StcaError::invalid_input(format!(
-            "accounting invariant violated: {a:?}"
+            "serving accounting invariant violated: {report:?}"
         )));
     }
     if !spec.artifacts.decision_log.is_empty() {
@@ -628,8 +667,7 @@ fn cmd_serve(args: &Args) -> Result<(), StcaError> {
     Ok(())
 }
 
-/// Print trace summary + write the Chrome/SVG artifacts (shared by the
-/// single-loop and fleet serve paths).
+/// Print trace summary + write the Chrome/SVG artifacts.
 fn emit_trace_artifacts(
     dump: &stca_trace::TraceDump,
     trace_out: Option<&Path>,
@@ -651,80 +689,6 @@ fn emit_trace_artifacts(
     if let Some(path) = trace_svg {
         stca_trace::write_svg(path, dump)?;
         println!("wrote trace waterfall to {}", path.display());
-    }
-    Ok(())
-}
-
-/// The `--shards N` (N > 1) serve path: route the arrival stream through
-/// a sharded fleet, report per-shard and fleet-wide accounting, and
-/// enforce the fleet invariant before writing artifacts.
-fn cmd_serve_fleet(
-    spec: &ScenarioSpec,
-    profiles_path: Option<&Path>,
-    trace_out: Option<&Path>,
-    trace_svg: Option<&Path>,
-) -> Result<(), StcaError> {
-    let report = pipeline::run_fleet(spec, profiles_path, trace_out)?;
-    println!(
-        "served {} requests across {} shards in {:.1} virtual seconds",
-        report.offered,
-        report.shards.len(),
-        report.virtual_end_s
-    );
-    println!(
-        "  fleet: completed {}  rerouted {}  router-shed {}  crashed shards {:?}",
-        report.completed(),
-        report.rerouted,
-        report.router_shed,
-        report.crashed_shards()
-    );
-    for s in &report.shards {
-        let a = &s.accounting;
-        println!(
-            "  shard {}: admitted {}  completed {}  shed {}  drained {}  \
-             rerouted-out {}  crashes {}  p99 {:.4}s",
-            s.id,
-            a.admitted,
-            a.completed,
-            a.shed(),
-            a.drained,
-            s.rerouted_out,
-            s.crashes,
-            s.p99_response_s
-        );
-    }
-    let (promos, rollbacks): (u64, u64) = report
-        .shards
-        .iter()
-        .filter_map(|s| s.adapt.as_ref())
-        .fold((0, 0), |(p, r), a| (p + a.promotions, r + a.rollbacks));
-    if report.shards.iter().any(|s| s.adapt.is_some()) {
-        println!("  adapt: promotions {promos}  rollbacks {rollbacks}");
-    }
-    println!(
-        "  response: mean {:.4}s p50 {:.4}s p99 {:.4}s",
-        report.mean_response_s, report.p50_response_s, report.p99_response_s
-    );
-    println!("  decision hash {:016x}", report.decision_hash);
-    if let Some(dump) = &report.trace_dump {
-        emit_trace_artifacts(dump, trace_out, trace_svg)?;
-    }
-    if !report.balanced() {
-        return Err(StcaError::invalid_input(format!(
-            "fleet accounting invariant violated: {report:?}"
-        )));
-    }
-    if !spec.artifacts.decision_log.is_empty() {
-        let path = PathBuf::from(&spec.artifacts.decision_log);
-        let mut text = report.decision_log.join("\n");
-        text.push('\n');
-        std::fs::write(&path, text).map_err(|e| StcaError::io(path.display().to_string(), e))?;
-        println!("wrote decision log to {}", path.display());
-    }
-    if !spec.artifacts.health.is_empty() {
-        let path = PathBuf::from(&spec.artifacts.health);
-        stca_serve::write_fleet_health(&path, &report)?;
-        println!("wrote health snapshot to {}", path.display());
     }
     Ok(())
 }

@@ -1,5 +1,5 @@
-//! Sharded serving fleet: N independent fault domains behind a
-//! deterministic router.
+//! The serving driver: N independent fault domains behind a
+//! deterministic router, and the one-shard case that is the single loop.
 //!
 //! Each shard owns a full [`ShardCore`] — bounded admission queue,
 //! circuit breaker, hysteresis controller, watchdog, seeded predictor
@@ -9,6 +9,31 @@
 //! faults (`shard_crash`, `shard_stall`, `shard_flap`) are rolled per
 //! `(plan seed, shard id, epoch)` so a faulted fleet is bit-identical at
 //! any `--threads`.
+//!
+//! ## Execution model
+//!
+//! The replayed arrival stream is processed in fixed-size chunks. Each
+//! chunk runs two phases:
+//!
+//! 1. **Parallel compute** — for every request in the chunk, the pure
+//!    per-request work is computed on the worker pool: the primary model
+//!    call, the degraded fallback, the injected predictor fault, and the
+//!    injected stage stalls. All of it is a pure function of the request
+//!    (seed, features, sequence number), so input-order results are
+//!    bit-identical at any `--threads`.
+//! 2. **Serial replay** — requests are routed, admitted, queued,
+//!    dispatched to virtual servers, and completed in arrival order.
+//!    Everything stateful lives here: shard faults and reroutes, queue
+//!    occupancy, overload shedding, deadline budgets, the circuit breaker
+//!    (verdicts frozen in request order), hysteresis, the watchdog retry
+//!    path, the model lifecycle, and the decision log.
+//!
+//! ## One shard is the single loop
+//!
+//! With `shards == 1` there is nothing to route and no other shard to
+//! fail over to: the driver rolls no epochs (shard faults stay inert),
+//! writes no router lines and no ` shard=N` log suffix, and publishes the
+//! unprefixed `serve.*` metrics. [`crate::serve`] is this case.
 //!
 //! ## Failover semantics
 //!
@@ -29,7 +54,7 @@
 //! flapped shards; only when every shard is crashed does a request get the
 //! typed `router_shed` disposition.
 //!
-//! ## Fleet accounting invariant
+//! ## Accounting invariant
 //!
 //! Per shard, reroutes extend the single-loop identity:
 //!
@@ -47,14 +72,14 @@
 //! ```
 
 use crate::adapt::AdaptStats;
-use crate::model::EaModel;
+use crate::model::{EaModel, TIMEOUT_GRID};
 use crate::request::SyntheticStream;
 use crate::router::{route, Candidate, RouterKind};
 use crate::server::{Accounting, ServeConfig};
 use crate::shard::{compute_request, DecisionSink, Pending, ShardCore};
 use stca_fault::{FaultInjector, FaultPlan, StcaError};
 use stca_obs::json::Value;
-use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceDump};
+use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx, TraceDump};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -66,7 +91,8 @@ pub struct FleetConfig {
     /// seed (`base.breaker.seed ^ (shard_id << 24)`) so probe lotteries are
     /// independent across fault domains.
     pub base: ServeConfig,
-    /// Number of shards (independent fault domains).
+    /// Number of shards (independent fault domains); 1 is the single
+    /// loop.
     pub shards: u32,
     /// Routing discipline.
     pub router: RouterKind,
@@ -91,6 +117,15 @@ impl Default for FleetConfig {
 }
 
 impl FleetConfig {
+    /// The one-shard fleet over `base`: the single serving loop.
+    pub fn single(base: ServeConfig) -> Self {
+        FleetConfig {
+            base,
+            shards: 1,
+            ..FleetConfig::default()
+        }
+    }
+
     fn validate(&self) -> Result<(), StcaError> {
         self.base.validate()?;
         if self.shards == 0 {
@@ -116,8 +151,7 @@ pub struct ShardStats {
     pub id: u32,
     /// Exact request accounting for this shard. Reroutes make
     /// [`Accounting::balanced`] intentionally fail here; the shard
-    /// identity including `rerouted_out` is checked by
-    /// [`FleetReport::balanced`].
+    /// identity including `rerouted_out` is [`ShardStats::balanced`].
     pub accounting: Accounting,
     /// Requests flushed out of this shard's queue by a crash.
     pub rerouted_out: u64,
@@ -129,22 +163,24 @@ pub struct ShardStats {
     pub stalls: u64,
     /// Epochs the router treated this shard as flapping.
     pub flaps: u64,
-    /// Breaker trips on this shard.
+    /// Breaker trips (closed → open and failed-probe re-opens).
     pub breaker_opens: u64,
-    /// Breaker recoveries on this shard.
+    /// Breaker recoveries (half-open → closed).
     pub breaker_closes: u64,
     /// Probe calls admitted while half-open.
     pub breaker_probes: u64,
-    /// Calls short-circuited to the degraded chain.
+    /// Calls short-circuited to the degraded chain while open.
     pub breaker_rejects: u64,
     /// Requests answered by the degraded predictor chain.
     pub degraded: u64,
-    /// Watchdog interventions.
+    /// Watchdog interventions (stage cut off at its budget).
     pub watchdog_trips: u64,
     /// Stage retries after a watchdog trip.
     pub retries: u64,
     /// Policy changes applied by this shard's hysteresis controller.
     pub policy_applies: u64,
+    /// Decisions suppressed by this shard's hysteresis controller.
+    pub policy_suppressed: u64,
     /// Timeout-grid index applied when the run ended.
     pub final_timeout_idx: usize,
     /// Mean response of this shard's completed requests, seconds.
@@ -158,7 +194,110 @@ pub struct ShardStats {
     pub adapt: Option<AdaptStats>,
 }
 
-/// Everything one fleet run produced.
+/// A JSON object from `(key, value)` pairs.
+fn object<const N: usize>(pairs: [(&str, Value); N]) -> Value {
+    Value::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+}
+
+fn int(v: u64) -> Value {
+    Value::Number(v as f64)
+}
+
+impl ShardStats {
+    /// The shard identity: every admitted request completed, was shed,
+    /// drained, or rerouted out.
+    pub fn balanced(&self) -> bool {
+        let a = &self.accounting;
+        a.admitted == a.completed + a.shed() + a.drained + self.rerouted_out
+    }
+
+    fn to_json(&self) -> BTreeMap<String, Value> {
+        let a = &self.accounting;
+        let mut m = BTreeMap::new();
+        m.insert("id".into(), int(u64::from(self.id)));
+        m.insert(
+            "accounting".into(),
+            object([
+                ("admitted", int(a.admitted)),
+                ("completed", int(a.completed)),
+                ("shed_overload", int(a.shed_overload)),
+                ("shed_deadline", int(a.shed_deadline)),
+                ("shed_failed", int(a.shed_failed)),
+                ("drained", int(a.drained)),
+                ("blocked", int(a.blocked)),
+                ("deadline_exceeded", int(a.deadline_exceeded)),
+                ("rerouted_out", int(self.rerouted_out)),
+                ("balanced", Value::Bool(self.balanced())),
+            ]),
+        );
+        m.insert(
+            "breaker".into(),
+            object([
+                ("opens", int(self.breaker_opens)),
+                ("closes", int(self.breaker_closes)),
+                ("probes", int(self.breaker_probes)),
+                ("rejects", int(self.breaker_rejects)),
+            ]),
+        );
+        m.insert(
+            "policy".into(),
+            object([
+                ("applies", int(self.policy_applies)),
+                ("suppressed", int(self.policy_suppressed)),
+                (
+                    "applied_timeout_ratio",
+                    Value::Number(TIMEOUT_GRID[self.final_timeout_idx]),
+                ),
+            ]),
+        );
+        m.insert(
+            "response".into(),
+            object([
+                ("mean_s", Value::Number(self.mean_response_s)),
+                ("p50_s", Value::Number(self.p50_response_s)),
+                ("p99_s", Value::Number(self.p99_response_s)),
+            ]),
+        );
+        m.insert(
+            "faults".into(),
+            object([
+                ("crashes", int(self.crashes)),
+                ("recoveries", int(self.recoveries)),
+                ("stalls", int(self.stalls)),
+                ("flaps", int(self.flaps)),
+            ]),
+        );
+        m.insert("degraded".into(), int(self.degraded));
+        m.insert("watchdog_trips".into(), int(self.watchdog_trips));
+        m.insert("retries".into(), int(self.retries));
+        if let Some(a) = &self.adapt {
+            m.insert(
+                "adapt".into(),
+                object([
+                    ("drifts", int(a.drifts)),
+                    ("retrains", int(a.retrains)),
+                    ("retrain_failures", int(a.retrain_failures)),
+                    ("retrain_slows", int(a.retrain_slows)),
+                    ("shadow_scored", int(a.shadow_scored)),
+                    ("shadow_agree", int(a.shadow_agree)),
+                    ("promotions", int(a.promotions)),
+                    ("promote_refused", int(a.promote_refused)),
+                    ("rollbacks", int(a.rollbacks)),
+                    ("guard_passes", int(a.guard_passes)),
+                    ("active_version", int(a.active_version)),
+                    ("last_drift_score", Value::Number(a.last_drift_score)),
+                    (
+                        "last_shadow_agreement",
+                        Value::Number(a.last_shadow_agreement),
+                    ),
+                ]),
+            );
+        }
+        m
+    }
+}
+
+/// Everything one serving run produced.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Per-shard summaries, in shard-id order.
@@ -176,8 +315,8 @@ pub struct FleetReport {
     pub p50_response_s: f64,
     /// Fleet-wide 99th-percentile response, seconds.
     pub p99_response_s: f64,
-    /// Rolling FNV-1a hash over the shared fleet decision log (shard
-    /// entries, router entries, and fault events in one serial order).
+    /// Rolling FNV-1a hash over the shared decision log (shard entries,
+    /// router entries, and fault events in one serial order).
     pub decision_hash: u64,
     /// Full decision log (empty unless `base.keep_decision_log`).
     pub decision_log: Vec<String>,
@@ -207,100 +346,76 @@ impl FleetReport {
     /// is a disposition, and every offered request ends in exactly one
     /// fleet-level disposition.
     pub fn balanced(&self) -> bool {
-        let shards_ok = self.shards.iter().all(|s| {
-            let a = &s.accounting;
-            a.admitted == a.completed + a.shed() + a.drained + s.rerouted_out
-        });
         let settled: u64 = self
             .shards
             .iter()
             .map(|s| s.accounting.completed + s.accounting.shed() + s.accounting.drained)
             .sum();
-        shards_ok && self.offered == settled + self.router_shed
+        self.shards.iter().all(ShardStats::balanced) && self.offered == settled + self.router_shed
     }
 
-    /// The report as a JSON tree (health snapshots, CLI output).
+    /// The report as a JSON tree (health snapshots, CLI output). A
+    /// one-shard run puts its shard's fields at the top level (the
+    /// single-loop layout); a fleet lists them under `shards`.
     pub fn to_json_value(&self) -> Value {
-        let num = Value::Number;
-        let int = |v: u64| Value::Number(v as f64);
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for s in &self.shards {
-            let a = &s.accounting;
-            let mut m = BTreeMap::new();
-            m.insert("id".into(), int(u64::from(s.id)));
-            m.insert("admitted".into(), int(a.admitted));
-            m.insert("completed".into(), int(a.completed));
-            m.insert("shed".into(), int(a.shed()));
-            m.insert("drained".into(), int(a.drained));
-            m.insert("rerouted_out".into(), int(s.rerouted_out));
-            m.insert("crashes".into(), int(s.crashes));
-            m.insert("recoveries".into(), int(s.recoveries));
-            m.insert("stalls".into(), int(s.stalls));
-            m.insert("flaps".into(), int(s.flaps));
-            m.insert("breaker_opens".into(), int(s.breaker_opens));
-            m.insert("degraded".into(), int(s.degraded));
-            m.insert("watchdog_trips".into(), int(s.watchdog_trips));
-            m.insert("mean_response_s".into(), num(s.mean_response_s));
-            m.insert("p50_response_s".into(), num(s.p50_response_s));
-            m.insert("p99_response_s".into(), num(s.p99_response_s));
-            if let Some(a) = &s.adapt {
-                let mut adapt = BTreeMap::new();
-                adapt.insert("drifts".into(), int(a.drifts));
-                adapt.insert("retrains".into(), int(a.retrains));
-                adapt.insert("retrain_failures".into(), int(a.retrain_failures));
-                adapt.insert("retrain_slows".into(), int(a.retrain_slows));
-                adapt.insert("shadow_scored".into(), int(a.shadow_scored));
-                adapt.insert("promotions".into(), int(a.promotions));
-                adapt.insert("promote_refused".into(), int(a.promote_refused));
-                adapt.insert("rollbacks".into(), int(a.rollbacks));
-                adapt.insert("guard_passes".into(), int(a.guard_passes));
-                adapt.insert("active_version".into(), int(a.active_version));
-                m.insert("adapt".into(), Value::Object(adapt));
-            }
-            shards.push(Value::Object(m));
-        }
-        let mut resp = BTreeMap::new();
-        resp.insert("mean_s".into(), num(self.mean_response_s));
-        resp.insert("p50_s".into(), num(self.p50_response_s));
-        resp.insert("p99_s".into(), num(self.p99_response_s));
-        let mut root = BTreeMap::new();
-        root.insert("shards".into(), Value::Array(shards));
+        let mut root = match self.shards.as_slice() {
+            [only] => only.to_json(),
+            shards => BTreeMap::from([(
+                "shards".to_string(),
+                Value::Array(shards.iter().map(|s| Value::Object(s.to_json())).collect()),
+            )]),
+        };
         root.insert("offered".into(), int(self.offered));
         root.insert("completed".into(), int(self.completed()));
         root.insert("rerouted".into(), int(self.rerouted));
         root.insert("router_shed".into(), int(self.router_shed));
         root.insert("balanced".into(), Value::Bool(self.balanced()));
-        root.insert("response".into(), Value::Object(resp));
+        root.insert(
+            "response".into(),
+            object([
+                ("mean_s", Value::Number(self.mean_response_s)),
+                ("p50_s", Value::Number(self.p50_response_s)),
+                ("p99_s", Value::Number(self.p99_response_s)),
+            ]),
+        );
         root.insert(
             "decision_hash".into(),
             Value::String(format!("{:016x}", self.decision_hash)),
         );
-        root.insert("virtual_end_s".into(), num(self.virtual_end_s));
+        root.insert("virtual_end_s".into(), Value::Number(self.virtual_end_s));
+        if let Some(dump) = &self.trace_dump {
+            let st = &dump.stats;
+            root.insert(
+                "trace".into(),
+                object([
+                    ("retained_error", int(st.retained_error)),
+                    ("retained_normal", int(st.retained_normal)),
+                    ("evicted_normal", int(st.evicted_normal)),
+                    ("dropped_error", int(st.dropped_error)),
+                    ("sample_every", int(dump.sample_every)),
+                ]),
+            );
+        }
         Value::Object(root)
     }
 }
 
-/// Write a JSON health snapshot: the fleet report plus every `serve.*`
-/// metric (per-shard `serve.shardN.*` prefixes and the `serve.fleet.*`
-/// rollup included) currently in the global registry.
-pub fn write_fleet_health(path: &Path, report: &FleetReport) -> Result<(), StcaError> {
+/// Write a JSON health snapshot: the report plus every `serve.*` metric
+/// currently in the global registry (a fleet's per-shard
+/// `serve.shardN.*` prefixes and `serve.fleet.*` rollup included).
+pub fn write_health(path: &Path, report: &FleetReport) -> Result<(), StcaError> {
     let mut root = match report.to_json_value() {
         Value::Object(m) => m,
         _ => unreachable!("report serialises to an object"),
     };
     let mut metrics = BTreeMap::new();
     for (name, metric) in stca_obs::registry().snapshot_prefixed("serve.") {
-        match metric {
-            stca_obs::metrics::Metric::Counter(c) => {
-                metrics.insert(name, Value::Number(c.get() as f64));
-            }
-            stca_obs::metrics::Metric::Gauge(g) => {
-                metrics.insert(name, Value::Number(g.get()));
-            }
-            stca_obs::metrics::Metric::Histogram(h) => {
-                metrics.insert(name, Value::Number(h.mean()));
-            }
-        }
+        let v = match metric {
+            stca_obs::metrics::Metric::Counter(c) => c.get() as f64,
+            stca_obs::metrics::Metric::Gauge(g) => g.get(),
+            stca_obs::metrics::Metric::Histogram(h) => h.mean(),
+        };
+        metrics.insert(name, Value::Number(v));
     }
     root.insert("metrics".into(), Value::Object(metrics));
     let json = Value::Object(root).to_string();
@@ -429,11 +544,91 @@ fn apply_epoch(
     flushed
 }
 
-/// Run the sharded serving fleet over `n_requests` replayed arrivals.
+/// The router's run state: the epoch it has rolled to, its tallies, and
+/// its own flight recorder, so router sheds are traced even though they
+/// never touch a shard.
+struct RouterState {
+    seed: u64,
+    epoch: i64,
+    rerouted: u64,
+    shed: u64,
+    rec: Option<Arc<Mutex<FlightRecorder>>>,
+}
+
+impl RouterState {
+    /// Count and log a router shed, and file its trace.
+    fn shed(
+        &mut self,
+        seq: u64,
+        hops: u32,
+        ctx: Option<TraceCtx>,
+        now: f64,
+        sink: &mut DecisionSink,
+    ) {
+        self.shed += 1;
+        sink.push(format!("seq={seq} disp=router_shed hops={hops}"));
+        if let (Some(rec), Some(ctx)) = (self.rec.as_ref(), ctx) {
+            if let Ok(mut rec) = rec.lock() {
+                rec.record(ctx.finish(Disposition::RouterShed, now));
+            }
+        }
+    }
+
+    /// Roll every epoch boundary up to the one holding `now`, rerouting
+    /// (or shedding) the work each crash flushes before the arrival that
+    /// crossed the boundary is admitted.
+    fn roll_epochs(
+        &mut self,
+        slots: &mut [Slot<'_>],
+        cfg: &FleetConfig,
+        plan: &FaultPlan,
+        now: f64,
+        sink: &mut DecisionSink,
+    ) {
+        let until = (now / cfg.epoch_s).floor() as i64;
+        while self.epoch < until {
+            self.epoch += 1;
+            let boundary = self.epoch as f64 * cfg.epoch_s;
+            for (from, mut p) in apply_epoch(slots, plan, self.epoch as u64, cfg.epoch_s, sink) {
+                p.hops += 1;
+                let target = if p.hops > cfg.reroute_max {
+                    None
+                } else {
+                    pick_target(slots, cfg.router, self.seed, p.seq, boundary, Some(from))
+                };
+                if let Some(ctx) = p.ctx.as_mut() {
+                    let span = ctx.push_span(Stage::Route, boundary, boundary);
+                    span.args
+                        .push(("from_shard", AttrValue::Num(f64::from(from))));
+                    if let Some(to) = target {
+                        span.args.push(("to_shard", AttrValue::Num(f64::from(to))));
+                    }
+                    span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
+                }
+                match target {
+                    Some(to) => {
+                        self.rerouted += 1;
+                        sink.push(format!(
+                            "seq={} disp=reroute from={} to={} hops={}",
+                            p.seq, from, to, p.hops
+                        ));
+                        p.ready_s = boundary;
+                        slots[to as usize].core.arrive(p, sink);
+                    }
+                    None => self.shed(p.seq, p.hops, p.ctx.take(), boundary, sink),
+                }
+            }
+        }
+    }
+}
+
+/// Run the serving driver over `n_requests` replayed arrivals: a routed
+/// fleet of `cfg.shards` shards, or the single loop when `cfg.shards`
+/// is 1.
 ///
 /// Deterministic: with the same config, stream, plan, and model, the
-/// fleet decision hash, report, and merged trace dump are bit-identical
-/// at any thread count.
+/// decision hash, report, and merged trace dump are bit-identical at any
+/// thread count.
 pub fn serve_fleet(
     cfg: &FleetConfig,
     model: &dyn EaModel,
@@ -444,20 +639,21 @@ pub fn serve_fleet(
     cfg.validate()?;
     if !(stream.rate.is_finite() && stream.rate > 0.0) {
         return Err(StcaError::invalid_input(format!(
-            "fleet: arrival rate {} must be finite and positive",
+            "serve: arrival rate {} must be finite and positive",
             stream.rate
         )));
     }
     if !(stream.deadline_s.is_finite() && stream.deadline_s > 0.0) {
         return Err(StcaError::invalid_input(format!(
-            "fleet: deadline {} must be finite and positive",
+            "serve: deadline {} must be finite and positive",
             stream.deadline_s
         )));
     }
+    let fleet = cfg.shards > 1;
     let run_key = stream.seed ^ 0x5E4E;
     let injectors: [FaultInjector; 2] = [plan.injector(run_key, 0), plan.injector(run_key, 1)];
     // per-shard configs first (the cores borrow them), seeds derived as
-    // seed ^ (shard_id << 24)
+    // seed ^ (shard_id << 24) — the identity for shard 0
     let shard_cfgs: Vec<ServeConfig> = (0..cfg.shards)
         .map(|id| {
             let mut c = cfg.base.clone();
@@ -469,7 +665,8 @@ pub fn serve_fleet(
         .iter()
         .enumerate()
         .map(|(id, c)| {
-            let mut core = ShardCore::new(c, stream.seed ^ ((id as u64) << 24), Some(id as u32));
+            let shard = fleet.then_some(id as u32);
+            let mut core = ShardCore::new(c, stream.seed ^ ((id as u64) << 24), shard);
             core.install_adapt(plan);
             Slot {
                 core,
@@ -483,19 +680,28 @@ pub fn serve_fleet(
             }
         })
         .collect();
-    // router sheds get their own recorder so admission-time sheds are
-    // traced even though they never touch a shard
-    let router_rec = cfg
-        .base
-        .trace
-        .map(|tc| Arc::new(Mutex::new(FlightRecorder::new(tc))));
-    let route_seed = stream.seed ^ ROUTE_SALT;
-    let mut sink = DecisionSink::new(cfg.base.keep_decision_log);
+    let mut router = RouterState {
+        seed: stream.seed ^ ROUTE_SALT,
+        epoch: -1,
+        rerouted: 0,
+        shed: 0,
+        rec: cfg
+            .base
+            .trace
+            .filter(|_| fleet)
+            .map(|tc| Arc::new(Mutex::new(FlightRecorder::new(tc)))),
+    };
+    // publish a single loop's recorder so error-dump hooks can snapshot it
+    // mid-run
+    let _active = match slots.as_slice() {
+        [only] => only.core.recorder.clone().map(stca_trace::set_active),
+        _ => None,
+    };
+    let prefix = if fleet { "serve.fleet" } else { "serve" };
+    let depth_gauge = stca_obs::gauge(&format!("{prefix}.queue_depth"));
     let timer =
-        stca_obs::StageTimer::with_histogram(stca_obs::histogram("serve.fleet.run_seconds"));
-    let mut rerouted = 0u64;
-    let mut router_shed = 0u64;
-    let mut cur_epoch: i64 = -1;
+        stca_obs::StageTimer::with_histogram(stca_obs::histogram(&format!("{prefix}.run_seconds")));
+    let mut sink = DecisionSink::new(cfg.base.keep_decision_log);
     let mut seq = 0u64;
     let mut t_cursor = 0.0f64;
     let mut last_arrival = 0.0f64;
@@ -504,7 +710,10 @@ pub fn serve_fleet(
         let (reqs, new_t) = stream.chunk(seq, count, t_cursor);
         t_cursor = new_t;
         last_arrival = new_t;
-        // phase 1: pure per-request compute, identical to the single loop
+        // phase 1: pure per-request compute, input-order results. When
+        // tracing, each worker tags its thread with the request's trace
+        // id so histograms recorded inside the model call (e.g.
+        // `deepforest.predict.seconds`) pick up exemplars.
         let trace_cfg = cfg.base.trace;
         let computed = stca_exec::par_map_indexed(&reqs, |_, r| {
             if let Some(tc) = &trace_cfg {
@@ -516,59 +725,16 @@ pub fn serve_fleet(
             }
             comp
         });
-        // phase 2: serial replay — epochs advance lazily, one at a time,
-        // with crash-flushed requests rerouted at each boundary before the
-        // arrival that crossed it is admitted
+        // phase 2: serial replay in arrival order; a fleet first rolls
+        // the epochs the arrival crossed, then routes it
         for (r, comp) in reqs.into_iter().zip(computed) {
-            let arrival_epoch = (r.arrival_s / cfg.epoch_s).floor() as i64;
-            while cur_epoch < arrival_epoch {
-                cur_epoch += 1;
-                let boundary = cur_epoch as f64 * cfg.epoch_s;
-                let flushed =
-                    apply_epoch(&mut slots, plan, cur_epoch as u64, cfg.epoch_s, &mut sink);
-                for (from, mut p) in flushed {
-                    p.hops += 1;
-                    let target = if p.hops > cfg.reroute_max {
-                        None
-                    } else {
-                        pick_target(&slots, cfg.router, route_seed, p.seq, boundary, Some(from))
-                    };
-                    match target {
-                        Some(to) => {
-                            rerouted += 1;
-                            sink.push(format!(
-                                "seq={} disp=reroute from={} to={} hops={}",
-                                p.seq, from, to, p.hops
-                            ));
-                            if let Some(ctx) = p.ctx.as_mut() {
-                                let span = ctx.push_span(Stage::Route, boundary, boundary);
-                                span.args
-                                    .push(("from_shard", AttrValue::Num(f64::from(from))));
-                                span.args.push(("to_shard", AttrValue::Num(f64::from(to))));
-                                span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
-                            }
-                            p.ready_s = boundary;
-                            slots[to as usize].core.arrive(p, &mut sink);
-                        }
-                        None => {
-                            router_shed += 1;
-                            sink.push(format!("seq={} disp=router_shed hops={}", p.seq, p.hops));
-                            if let Some(ctx) = p.ctx.as_mut() {
-                                let span = ctx.push_span(Stage::Route, boundary, boundary);
-                                span.args
-                                    .push(("from_shard", AttrValue::Num(f64::from(from))));
-                                span.args.push(("hops", AttrValue::Num(f64::from(p.hops))));
-                            }
-                            if let (Some(rec), Some(ctx)) = (router_rec.as_ref(), p.ctx.take()) {
-                                if let Ok(mut rec) = rec.lock() {
-                                    rec.record(ctx.finish(Disposition::RouterShed, boundary));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            match pick_target(&slots, cfg.router, route_seed, r.seq, r.arrival_s, None) {
+            let target = if fleet {
+                router.roll_epochs(&mut slots, cfg, plan, r.arrival_s, &mut sink);
+                pick_target(&slots, cfg.router, router.seed, r.seq, r.arrival_s, None)
+            } else {
+                Some(0)
+            };
+            match target {
                 Some(id) => {
                     let slot = &mut slots[id as usize];
                     let mut ctx = slot
@@ -577,7 +743,7 @@ pub fn serve_fleet(
                         .as_ref()
                         .and_then(|rec| rec.lock().ok())
                         .map(|mut rec| rec.begin(r.seq, r.arrival_s));
-                    if let Some(c) = ctx.as_mut() {
+                    if let Some(c) = ctx.as_mut().filter(|_| fleet) {
                         c.annotate_admission("shard", AttrValue::Num(f64::from(id)));
                     }
                     slot.core.arrive(
@@ -595,23 +761,24 @@ pub fn serve_fleet(
                     );
                 }
                 None => {
-                    router_shed += 1;
-                    sink.push(format!("seq={} disp=router_shed hops=0", r.seq));
-                    if let Some(rec) = router_rec.as_ref() {
-                        if let Ok(mut rec) = rec.lock() {
+                    let ctx = router
+                        .rec
+                        .as_ref()
+                        .and_then(|rec| rec.lock().ok())
+                        .map(|mut rec| {
                             let mut ctx = rec.begin(r.seq, r.arrival_s);
                             ctx.push_span(Stage::Route, r.arrival_s, r.arrival_s)
                                 .args
                                 .push(("hops", AttrValue::Num(0.0)));
-                            rec.record(ctx.finish(Disposition::RouterShed, r.arrival_s));
-                        }
-                    }
+                            ctx
+                        });
+                    router.shed(r.seq, 0, ctx, r.arrival_s, &mut sink);
                 }
             }
         }
         seq += count as u64;
         let depth: usize = slots.iter().map(|s| s.core.queue_depth()).sum();
-        stca_obs::gauge("serve.fleet.queue_depth").set(depth as f64);
+        depth_gauge.set(depth as f64);
     }
     // coordinated graceful drain: close every probe gate fleet-wide
     // first, then drain shard by shard in id order
@@ -628,124 +795,145 @@ pub fn serve_fleet(
     stca_obs::clear_virtual_now();
     timer.stop();
 
-    // per-shard and fleet-wide percentiles
-    let mut all_responses: Vec<f64> = Vec::new();
+    // per-shard percentiles; a fleet pools every shard's responses for
+    // its own, a single loop's are its one shard's
+    let mut pooled: Vec<f64> = Vec::new();
     let mut shard_stats = Vec::with_capacity(slots.len());
     for (id, slot) in slots.iter_mut().enumerate() {
         let mut responses = std::mem::take(&mut slot.core.responses);
-        all_responses.extend_from_slice(&responses);
+        if fleet {
+            pooled.extend_from_slice(&responses);
+        }
         let (mean, p50, p99) = response_summary(&mut responses);
+        let core = &slot.core;
         shard_stats.push(ShardStats {
             id: id as u32,
-            accounting: slot.core.acct,
+            accounting: core.acct,
             rerouted_out: slot.rerouted_out,
             crashes: slot.crashes,
             recoveries: slot.recoveries,
             stalls: slot.stalls,
             flaps: slot.flaps,
-            breaker_opens: slot.core.breaker.opens,
-            breaker_closes: slot.core.breaker.closes,
-            breaker_probes: slot.core.breaker.probes,
-            breaker_rejects: slot.core.breaker.rejects,
-            degraded: slot.core.degraded,
-            watchdog_trips: slot.core.watchdog_trips,
-            retries: slot.core.retries,
-            policy_applies: slot.core.hyst.applies,
-            final_timeout_idx: slot.core.hyst.applied(),
+            breaker_opens: core.breaker.opens,
+            breaker_closes: core.breaker.closes,
+            breaker_probes: core.breaker.probes,
+            breaker_rejects: core.breaker.rejects,
+            degraded: core.degraded,
+            watchdog_trips: core.watchdog_trips,
+            retries: core.retries,
+            policy_applies: core.hyst.applies,
+            policy_suppressed: core.hyst.suppressed,
+            final_timeout_idx: core.hyst.applied(),
             mean_response_s: mean,
             p50_response_s: p50,
             p99_response_s: p99,
-            adapt: slot.core.lifecycle.as_ref().map(|lc| lc.stats),
+            adapt: core.lifecycle.as_ref().map(|lc| lc.stats),
         });
     }
-    let (fleet_mean, fleet_p50, fleet_p99) = response_summary(&mut all_responses);
+    let (mean, p50, p99) = if fleet {
+        response_summary(&mut pooled)
+    } else {
+        let s = &shard_stats[0];
+        (s.mean_response_s, s.p50_response_s, s.p99_response_s)
+    };
 
     // merge flight recorders deterministically: shard-id order, router last
-    let trace_dump = {
-        let mut dumps: Vec<TraceDump> = Vec::new();
-        for slot in &slots {
-            if let Some(rec) = slot.core.recorder.as_ref() {
-                if let Ok(rec) = rec.lock() {
-                    dumps.push(rec.dump());
-                }
-            }
-        }
-        if let Some(rec) = router_rec.as_ref() {
-            if let Ok(rec) = rec.lock() {
-                dumps.push(rec.dump());
-            }
-        }
-        TraceDump::merge(dumps)
-    };
+    let dumps: Vec<TraceDump> = slots
+        .iter()
+        .filter_map(|s| s.core.recorder.as_ref())
+        .chain(router.rec.as_ref())
+        .filter_map(|rec| rec.lock().ok().map(|rec| rec.dump()))
+        .collect();
 
     let report = FleetReport {
         shards: shard_stats,
         offered: n_requests,
-        rerouted,
-        router_shed,
-        mean_response_s: fleet_mean,
-        p50_response_s: fleet_p50,
-        p99_response_s: fleet_p99,
+        rerouted: router.rerouted,
+        router_shed: router.shed,
+        mean_response_s: mean,
+        p50_response_s: p50,
+        p99_response_s: p99,
         decision_hash: sink.hash(),
         decision_log: sink.into_log(),
         virtual_end_s: virtual_end,
-        trace_dump,
+        trace_dump: TraceDump::merge(dumps),
     };
-    flush_fleet_metrics(&report);
+    flush_metrics(&report);
     Ok(report)
 }
 
-/// Flush run totals into the global metrics: `serve.shardN.*` per shard
-/// (nested `serve.shardN.breaker.*` for breaker counters) and the
-/// `serve.fleet.*` rollup.
-fn flush_fleet_metrics(r: &FleetReport) {
+/// Flush run totals into the global metrics: one counter set per shard
+/// (`serve.*` for a single loop, `serve.shardN.*` in a fleet) and, in a
+/// fleet, the `serve.fleet.*` rollup.
+fn flush_metrics(r: &FleetReport) {
+    let fleet = r.shards.len() > 1;
     for s in &r.shards {
         let a = &s.accounting;
-        let pre = format!("serve.shard{}", s.id);
+        let pre = if fleet {
+            format!("serve.shard{}", s.id)
+        } else {
+            "serve".to_string()
+        };
+        let adapt = s.adapt.unwrap_or_default();
         for (name, v) in [
             ("admitted_total", a.admitted),
             ("completed_total", a.completed),
             ("shed_total", a.shed()),
+            ("shed_overload_total", a.shed_overload),
+            ("shed_deadline_total", a.shed_deadline),
+            ("shed_failed_total", a.shed_failed),
             ("drained_total", a.drained),
+            ("blocked_total", a.blocked),
+            ("deadline_exceeded_total", a.deadline_exceeded),
             ("rerouted_out_total", s.rerouted_out),
             ("crashes_total", s.crashes),
             ("recoveries_total", s.recoveries),
             ("stalls_total", s.stalls),
             ("flaps_total", s.flaps),
             ("degraded_total", s.degraded),
+            ("breaker_opens_total", s.breaker_opens),
+            ("breaker_closes_total", s.breaker_closes),
+            ("breaker_probes_total", s.breaker_probes),
+            ("breaker_rejects_total", s.breaker_rejects),
             ("watchdog_trips_total", s.watchdog_trips),
-            ("breaker.opens_total", s.breaker_opens),
-            ("breaker.closes_total", s.breaker_closes),
-            ("breaker.probes_total", s.breaker_probes),
-            ("breaker.rejects_total", s.breaker_rejects),
+            ("retries_total", s.retries),
+            ("policy_applies_total", s.policy_applies),
+            ("policy_suppressed_total", s.policy_suppressed),
+            ("adapt.drifts_total", adapt.drifts),
+            ("adapt.retrains_total", adapt.retrains),
+            ("adapt.retrain_failures_total", adapt.retrain_failures),
+            ("adapt.retrain_slows_total", adapt.retrain_slows),
+            ("adapt.shadow_scored_total", adapt.shadow_scored),
+            ("adapt.promotions_total", adapt.promotions),
+            ("adapt.promote_refused_total", adapt.promote_refused),
+            ("adapt.rollbacks_total", adapt.rollbacks),
+            ("adapt.guard_passes_total", adapt.guard_passes),
         ] {
             if v > 0 {
                 stca_obs::counter(&format!("{pre}.{name}")).add(v);
             }
         }
         if let Some(a) = &s.adapt {
-            for (name, v) in [
-                ("adapt.drifts_total", a.drifts),
-                ("adapt.retrains_total", a.retrains),
-                ("adapt.retrain_failures_total", a.retrain_failures),
-                ("adapt.retrain_slows_total", a.retrain_slows),
-                ("adapt.shadow_scored_total", a.shadow_scored),
-                ("adapt.promotions_total", a.promotions),
-                ("adapt.promote_refused_total", a.promote_refused),
-                ("adapt.rollbacks_total", a.rollbacks),
-                ("adapt.guard_passes_total", a.guard_passes),
-            ] {
-                if v > 0 {
-                    stca_obs::counter(&format!("{pre}.{name}")).add(v);
-                }
-            }
+            stca_obs::gauge(&format!("{pre}.adapt.drift_score")).set(a.last_drift_score);
+            stca_obs::gauge(&format!("{pre}.adapt.shadow_agreement")).set(a.last_shadow_agreement);
+            stca_obs::gauge(&format!("{pre}.adapt.active_version")).set(a.active_version as f64);
         }
+    }
+    if !fleet {
+        return;
     }
     let settled: u64 = r
         .shards
         .iter()
         .map(|s| s.accounting.completed + s.accounting.shed() + s.accounting.drained)
         .sum();
+    let adapt_sum = |f: fn(&AdaptStats) -> u64| -> u64 {
+        r.shards
+            .iter()
+            .filter_map(|s| s.adapt.as_ref())
+            .map(f)
+            .sum()
+    };
     for (name, v) in [
         ("serve.fleet.offered_total", r.offered),
         ("serve.fleet.completed_total", r.completed()),
@@ -762,17 +950,11 @@ fn flush_fleet_metrics(r: &FleetReport) {
         ),
         (
             "serve.fleet.adapt.promotions_total",
-            r.shards
-                .iter()
-                .filter_map(|s| s.adapt.map(|a| a.promotions))
-                .sum(),
+            adapt_sum(|a| a.promotions),
         ),
         (
             "serve.fleet.adapt.rollbacks_total",
-            r.shards
-                .iter()
-                .filter_map(|s| s.adapt.map(|a| a.rollbacks))
-                .sum(),
+            adapt_sum(|a| a.rollbacks),
         ),
     ] {
         if v > 0 {
@@ -792,7 +974,6 @@ mod tests {
         FleetConfig {
             base: ServeConfig {
                 queue_capacity: 16,
-                sim_budget_events: 0,
                 keep_decision_log: true,
                 ..ServeConfig::default()
             },
@@ -904,6 +1085,39 @@ mod tests {
                 .iter()
                 .any(|t| t.spans.iter().any(|s| s.stage == Stage::Route)));
         }
+    }
+
+    #[test]
+    fn health_snapshot_writes_valid_json() {
+        let dir = std::env::temp_dir().join("stca_serve_health_test");
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        for shards in [1, 3] {
+            let mut cfg = small_fleet(shards);
+            cfg.base.trace = Some(stca_trace::TraceConfig::default());
+            let r = run(&cfg, &FaultPlan::ci_default(), 1_000);
+            let path = dir.join(format!("health{shards}.json"));
+            write_health(&path, &r).expect("writes");
+            let text = std::fs::read_to_string(&path).expect("reads");
+            let v = Value::parse(&text).expect("valid JSON");
+            let keys: &[&str] = if shards == 1 {
+                &[
+                    "accounting",
+                    "breaker",
+                    "policy",
+                    "response",
+                    "trace",
+                    "degraded",
+                    "decision_hash",
+                    "metrics",
+                ]
+            } else {
+                &["shards", "offered", "response", "trace", "metrics"]
+            };
+            for key in keys {
+                assert!(v.get(key).is_some(), "{shards} shards: no {key} in {text}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

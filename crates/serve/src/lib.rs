@@ -9,7 +9,11 @@
 //!
 //! Robustness pieces, each its own module:
 //!
-//! - [`server`] — the loop: bounded admission queue with a configurable
+//! - [`fleet`] — the serving driver: N shards behind a deterministic
+//!   router with shard fault domains and failover; one shard is the
+//!   single loop.
+//! - [`server`] — the loop's configuration and the single-loop entry
+//!   point [`serve`]: bounded admission queue with a configurable
 //!   overload policy ([`OverloadPolicy`]), per-request deadline budgets
 //!   propagated through predict → decide, graceful drain, and the exact
 //!   accounting invariant `admitted = completed + shed + drained`
@@ -30,7 +34,7 @@
 //! - [`request`] — the seeded, chunkable arrival stream.
 //!
 //! Everything is deterministic at any thread count: parallel work is pure
-//! per-request compute via `stca_exec::par_map_indexed`, all stateful
+//! per-request compute on the `stca_exec` pool, all stateful
 //! decisions replay serially in arrival order, and fault injection is
 //! keyed by request sequence number. The soak bench asserts bit-identical
 //! decision logs at `--threads 1` vs `8` under the heavy fault plan.
@@ -51,10 +55,10 @@ pub mod watchdog;
 
 pub use adapt::{AdaptConfig, AdaptStats};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, Verdict};
-pub use fleet::{serve_fleet, write_fleet_health, FleetConfig, FleetReport, ShardStats};
+pub use fleet::{serve_fleet, write_health, FleetConfig, FleetReport, ShardStats};
 pub use hysteresis::Hysteresis;
 pub use model::{decide, AnalyticEa, EaModel, StationModel, TIMEOUT_GRID};
 pub use request::{Request, SyntheticStream};
 pub use router::{rendezvous_score, route, Candidate, RouterKind};
-pub use server::{serve, write_health, Accounting, OverloadPolicy, ServeConfig, ServeReport};
+pub use server::{serve, Accounting, OverloadPolicy, ServeConfig, ServeReport};
 pub use watchdog::{StageRun, Watchdog};

@@ -1,13 +1,13 @@
-//! One serving shard: the serial-replay core shared by the single-loop
-//! server and the fleet.
+//! One serving shard: the serial-replay core the serving driver runs once
+//! per fault domain.
 //!
 //! [`ShardCore`] is the phase-2 state machine of the serving loop —
 //! bounded admission queue, virtual servers, circuit breaker, hysteresis
-//! controller, watchdog retry path, deadline budgets, and graceful drain —
-//! factored out of `server.rs` so `fleet.rs` can run N independent fault
-//! domains over the same stages. The single-loop server drives exactly one
-//! core with an empty log suffix, which keeps its decision log
-//! byte-identical to the pre-fleet implementation.
+//! controller, watchdog retry path, deadline budgets, and graceful drain.
+//! `fleet.rs` runs N independent cores behind its router; a one-shard run
+//! (the single loop) drives exactly one core with an empty log suffix,
+//! which keeps its decision log byte-identical to the pre-fleet
+//! implementation.
 //!
 //! Decision-log entries flow through a caller-owned [`DecisionSink`]: one
 //! sink per run, shared by every shard in a fleet, so the fleet decision
@@ -23,9 +23,7 @@ use crate::server::{Accounting, OverloadPolicy, ServeConfig};
 use crate::watchdog::{StageRun, Watchdog};
 use crate::Verdict;
 use stca_fault::{FaultInjector, FaultPlan};
-use stca_queuesim::{QueueSim, RunBudget, StationConfig};
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx};
-use stca_util::Distribution;
 use std::collections::VecDeque;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -120,18 +118,15 @@ pub(crate) struct ShardCore<'a> {
     pub(crate) degraded: u64,
     pub(crate) watchdog_trips: u64,
     pub(crate) retries: u64,
-    pub(crate) policy_validations: u64,
-    pub(crate) sim_budget_exhausted: u64,
-    last_ea: f64,
     seed: u64,
     /// Once graceful drain begins, a half-open breaker must not spend
     /// drain traffic on probe recovery: probe verdicts are gated to
     /// rejects.
     draining: bool,
     /// Appended to every decision-log entry (`" shard=N"` in a fleet,
-    /// empty for the single loop so its log stays byte-identical).
+    /// empty for a one-shard run so its log stays byte-identical).
     suffix: String,
-    /// Shard id this core was created as (`None` for the single loop).
+    /// Shard id this core was created as (`None` for a one-shard run).
     shard: Option<u32>,
     /// Drift-aware model lifecycle (`Some` once [`ShardCore::install_adapt`]
     /// ran with adaptation enabled).
@@ -169,9 +164,6 @@ impl<'a> ShardCore<'a> {
             degraded: 0,
             watchdog_trips: 0,
             retries: 0,
-            policy_validations: 0,
-            sim_budget_exhausted: 0,
-            last_ea: 1.0,
             seed,
             draining: false,
             suffix: shard.map(|id| format!(" shard={id}")).unwrap_or_default(),
@@ -185,8 +177,7 @@ impl<'a> ShardCore<'a> {
     }
 
     /// Install the drift-aware model lifecycle, if the config enables it.
-    /// Called once per core, right after construction, by the single-loop
-    /// server and by every fleet slot.
+    /// Called once per core, right after construction.
     pub(crate) fn install_adapt(&mut self, plan: &FaultPlan) {
         if self.cfg.adapt.enabled {
             self.lifecycle = Some(Lifecycle::new(
@@ -386,7 +377,6 @@ impl<'a> ShardCore<'a> {
                 served_version = v;
             }
         }
-        self.last_ea = ea;
         if let Some(ctx) = p.ctx.as_mut() {
             if (self.breaker.opens, self.breaker.closes) != breaker_counters {
                 ctx.flag_breaker_transition();
@@ -459,9 +449,8 @@ impl<'a> ShardCore<'a> {
                 .push(("timeout_s", AttrValue::Num(TIMEOUT_GRID[idx])));
         }
         if let Some(new_idx) = self.hyst.observe(idx) {
-            self.validate_policy(new_idx);
             if let Some(ctx) = p.ctx.as_mut() {
-                ctx.push_span(Stage::ValidatePolicy, completion, completion)
+                ctx.push_span(Stage::PolicyApply, completion, completion)
                     .args
                     .push(("applied", AttrValue::Num(new_idx as f64)));
             }
@@ -620,42 +609,6 @@ impl<'a> ShardCore<'a> {
                         span.args.push(("to", AttrValue::Num(*to as f64)));
                     }
                 }
-            }
-        }
-    }
-
-    /// Budgeted validation sim for a freshly applied timeout: replays the
-    /// station under the new policy with a hard event budget, so a policy
-    /// flip can never stall the control loop.
-    fn validate_policy(&mut self, new_idx: usize) {
-        if self.cfg.sim_budget_events == 0 {
-            return;
-        }
-        let st = &self.cfg.station;
-        let gain = (self.last_ea * (st.alloc_boost - 1.0)).max(0.0);
-        let sim_cfg = StationConfig {
-            inter_arrival: Distribution::Exponential {
-                mean: 1.0 / st.lambda(),
-            },
-            service: Distribution::Exponential { mean: st.service_s },
-            expected_service: st.service_s,
-            timeout_ratio: TIMEOUT_GRID[new_idx],
-            boost_rate: (1.0 + gain).max(1.0),
-            servers: st.servers,
-            shared_boost: true,
-            measured_queries: 2000,
-            warmup_queries: 200,
-        };
-        let seed = self.seed ^ self.hyst.applies.wrapping_mul(0x9E37_79B9);
-        if let Ok(mut sim) = QueueSim::try_new(sim_cfg, seed) {
-            let run = sim.run_budgeted(RunBudget::events(self.cfg.sim_budget_events));
-            self.policy_validations += 1;
-            if run.exhausted {
-                self.sim_budget_exhausted += 1;
-            }
-            if run.result.completed() > 0 {
-                stca_obs::gauge("serve.policy_validation_mean_response_s")
-                    .set(run.result.mean_response());
             }
         }
     }

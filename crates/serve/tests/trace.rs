@@ -10,7 +10,6 @@ fn traced_cfg() -> ServeConfig {
     ServeConfig {
         servers: 2,
         queue_capacity: 8,
-        sim_budget_events: 500,
         keep_decision_log: true,
         trace: Some(TraceConfig {
             seed: 0x7ACE,

@@ -21,9 +21,9 @@ pub enum Stage {
     Predict,
     /// The STAP decide stage.
     Decide,
-    /// Zero-length marker: hysteresis applied a policy and ran the
-    /// budgeted validation sim.
-    ValidatePolicy,
+    /// Zero-length marker: hysteresis applied a new timeout policy
+    /// (`applied` arg carries the timeout-grid index).
+    PolicyApply,
     /// Zero-length marker at drain: the request never started.
     Drain,
     /// Zero-length marker: the fleet router moved (or shed) the request —
@@ -51,7 +51,7 @@ impl Stage {
         Stage::QueueWait,
         Stage::Predict,
         Stage::Decide,
-        Stage::ValidatePolicy,
+        Stage::PolicyApply,
         Stage::Drain,
         Stage::Route,
         Stage::Retrain,
@@ -67,7 +67,7 @@ impl Stage {
             Stage::QueueWait => "queue_wait",
             Stage::Predict => "predict",
             Stage::Decide => "decide",
-            Stage::ValidatePolicy => "validate_policy",
+            Stage::PolicyApply => "policy_apply",
             Stage::Drain => "drain",
             Stage::Route => "route",
             Stage::Retrain => "retrain",

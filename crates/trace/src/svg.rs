@@ -27,7 +27,7 @@ fn stage_color(stage: Stage) -> &'static str {
         Stage::QueueWait => "#f0ad4e",
         Stage::Predict => "#3f7fbf",
         Stage::Decide => "#5cb85c",
-        Stage::ValidatePolicy => "#9b59b6",
+        Stage::PolicyApply => "#9b59b6",
         Stage::Drain => "#d9534f",
         Stage::Route => "#17a2b8",
         Stage::Retrain => "#8d6e63",

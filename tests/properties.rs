@@ -411,7 +411,9 @@ fn breaker_trips_on_exactly_k_consecutive_failures() {
 
 /// The serving loop's accounting invariant holds for arbitrary
 /// configurations and fault plans: every offered request ends in exactly
-/// one disposition.
+/// one disposition. The single loop is a one-shard fleet with no other
+/// shard to fail over to, so shard-scoped faults must be inert: the
+/// decision hash equals that of the same plan without them.
 #[test]
 fn serving_accounting_balances_for_arbitrary_configs() {
     use stca_repro::serve::{serve, AnalyticEa, OverloadPolicy, ServeConfig, SyntheticStream};
@@ -428,16 +430,22 @@ fn serving_accounting_balances_for_arbitrary_configs() {
             overload,
             hysteresis_k: 1 + rng.next_below(8) as u32,
             drain_grace_s: rng.next_f64() * 5.0,
-            sim_budget_events: 200,
             ..ServeConfig::default()
         };
-        let plan = stca_repro::fault::FaultPlan::parse(&format!(
+        let base_spec = format!(
             "predict_fail={:.2},stall={:.2},latency=0.15,seed={}",
             rng.next_f64() * 0.5,
             rng.next_f64() * 0.2,
             case
-        ))
-        .expect("valid plan spec");
+        );
+        let shard_spec = format!(
+            "{base_spec},shard_crash={:.2},shard_stall={:.2},shard_flap={:.2}",
+            rng.next_f64(),
+            rng.next_f64(),
+            rng.next_f64()
+        );
+        let plan = stca_repro::fault::FaultPlan::parse(&shard_spec).expect("valid plan spec");
+        let base_plan = stca_repro::fault::FaultPlan::parse(&base_spec).expect("valid plan spec");
         let stream = SyntheticStream {
             seed: 0xA5 ^ case,
             rate: 20.0 + rng.next_f64() * 800.0,
@@ -460,5 +468,11 @@ fn serving_accounting_balances_for_arbitrary_configs() {
                 "case {case}: block never sheds at admission"
             );
         }
+        let base = serve(&cfg, &AnalyticEa::default(), &base_plan, &stream, n)
+            .expect("arbitrary valid config serves");
+        assert_eq!(
+            r.decision_hash, base.decision_hash,
+            "case {case}: shard faults act on a single loop ({shard_spec})"
+        );
     }
 }
