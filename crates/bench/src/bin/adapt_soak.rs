@@ -37,8 +37,6 @@
 //! Defaults replay 1M requests through 4 shards under a drift-heavy
 //! plan. CI runs a short smoke (`--requests 120000`).
 
-#![warn(clippy::unwrap_used)]
-
 use stca_fault::{FaultPlan, StcaError};
 use stca_serve::{
     serve_fleet, AdaptConfig, AnalyticEa, FleetConfig, FleetReport, ServeConfig, SyntheticStream,

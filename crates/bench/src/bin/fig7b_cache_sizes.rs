@@ -11,12 +11,13 @@
 //!
 //! Usage: `cargo run --release -p stca-bench --bin fig7b_cache_sizes [--scale ...]`
 
-use stca_bench::dataset::run_conditions_customized;
+use stca_bench::dataset::run_conditions;
 use stca_bench::table::{pct, Table};
 use stca_cachesim::HierarchyConfig;
 use stca_cat::layout::{ChainLayout, ExperimentLayout};
 use stca_core::{ModelConfig, Predictor};
 use stca_deepforest::metrics::ape_summary;
+use stca_fault::{FaultPlan, RetryPolicy};
 use stca_profiler::sampler::CounterOrdering;
 use stca_util::Rng64;
 use stca_workloads::{BenchmarkId, RuntimeCondition, WorkloadSpec};
@@ -80,18 +81,20 @@ fn main() {
             .map(|_| RuntimeCondition::random_chain(&benchmarks, &mut rng))
             .collect();
         let layout = ExperimentLayout::Chain(chain);
-        let ds = run_conditions_customized(
-            pair,
+        let ds = run_conditions(
             &conditions,
             scale,
             CounterOrdering::Grouped,
             0x7B00 + pi as u64 * 131,
+            &FaultPlan::none(),
+            &RetryPolicy::default(),
             |mut spec| {
                 spec.config = config;
                 spec.layout = layout.clone();
                 spec
             },
-        );
+        )
+        .expect("fault-free dataset build yields every row");
         let (pool, test) = ds.split_by_utilization(0.75);
         if pool.is_empty() || test.is_empty() {
             stca_obs::warn!("{mb} MB: degenerate split, skipping");

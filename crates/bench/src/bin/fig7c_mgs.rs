@@ -11,12 +11,13 @@
 //!
 //! Usage: `cargo run --release -p stca-bench --bin fig7c_mgs [--scale ...]`
 
-use stca_bench::dataset::run_conditions_customized;
+use stca_bench::dataset::run_conditions;
 use stca_bench::table::{pct, Table};
 use stca_bench::{Dataset, Scale};
 use stca_core::{ModelConfig, Predictor};
 use stca_deepforest::metrics::ape_summary;
 use stca_deepforest::MgsConfig;
+use stca_fault::{FaultPlan, RetryPolicy};
 use stca_profiler::sampler::CounterOrdering;
 use stca_util::Rng64;
 use stca_workloads::{BenchmarkId, RuntimeCondition, WorkloadSpec};
@@ -36,7 +37,16 @@ fn build(
             c
         })
         .collect();
-    run_conditions_customized(pair, &conditions, scale, ordering, seed ^ 0xCCC, |s| s)
+    run_conditions(
+        &conditions,
+        scale,
+        ordering,
+        seed ^ 0xCCC,
+        &FaultPlan::none(),
+        &RetryPolicy::default(),
+        |s| s,
+    )
+    .expect("fault-free dataset build yields every row")
 }
 
 fn score(ds: &Dataset, mgs: Option<MgsConfig>, seed: u64) -> (f64, f64) {

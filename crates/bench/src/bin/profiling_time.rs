@@ -15,10 +15,24 @@ use stca_bench::table::{pct, Table};
 use stca_bench::{Dataset, Scale};
 use stca_core::{ModelConfig, Predictor};
 use stca_deepforest::metrics::ape_summary;
+use stca_fault::{FaultPlan, RetryPolicy, StcaError};
 use stca_profiler::sampler::CounterOrdering;
-use stca_profiler::stratified::{stratified_sample_with, StratifiedConfig};
+use stca_profiler::stratified::{stratified_sample, StratifiedConfig};
 use stca_util::Rng64;
 use stca_workloads::{BenchmarkId, RuntimeCondition, WorkloadSpec};
+
+/// Profile `conditions` fault-free with per-condition seeds from `seed`.
+fn profile(conditions: &[RuntimeCondition], scale: Scale, seed: u64) -> Result<Dataset, StcaError> {
+    run_conditions(
+        conditions,
+        scale,
+        CounterOrdering::Grouped,
+        seed,
+        &FaultPlan::none(),
+        &RetryPolicy::default(),
+        |spec| spec,
+    )
+}
 
 fn score(train: &Dataset, test: &Dataset, seed: u64) -> f64 {
     let cfg = if train.len() >= 30 {
@@ -68,26 +82,14 @@ fn main() {
         "profiling_time: building holdout ({} conditions)",
         test_conditions.len()
     );
-    let test = run_conditions(
-        pair,
-        &test_conditions,
-        scale,
-        CounterOrdering::Grouped,
-        0x907,
-    );
+    let test = profile(&test_conditions, scale, 0x907).expect("holdout profiles");
 
     // uniform pool, reused at every budget (prefix)
     let uniform_conditions: Vec<RuntimeCondition> = (0..max_budget)
         .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, &mut rng))
         .collect();
     stca_obs::info!("profiling_time: building uniform pool ({max_budget} conditions)");
-    let uniform_pool = run_conditions(
-        pair,
-        &uniform_conditions,
-        scale,
-        CounterOrdering::Grouped,
-        0x908,
-    );
+    let uniform_pool = profile(&uniform_conditions, scale, 0x908).expect("uniform pool profiles");
 
     println!(
         "Profiling-time study (pair {}({}); holdout = high-utilization)\n",
@@ -117,19 +119,23 @@ fn main() {
     let strat_budget = strat_cfg.seeds + strat_cfg.rounds * 3 * 2;
     stca_obs::info!("profiling_time: stratified sampling ({strat_budget} conditions)");
     let mut srng = Rng64::new(0x90A);
+    // the sampler skips a condition whose evaluation fails; with no fault
+    // injected a skip is a bug, so it must not shrink the study silently
+    let failed = stca_obs::counter("fault.conditions_failed_total");
+    let failed_before = failed.get();
     // the profiled rows ride along as the evaluator payload; collecting
     // them after the fact (in draw order) keeps the evaluator Fn + Sync so
     // each batch of conditions can run in parallel
-    let evaluated = stratified_sample_with(pair, strat_cfg, &mut srng, |cond| {
-        let ds = run_conditions(
-            pair,
-            std::slice::from_ref(cond),
-            scale,
-            CounterOrdering::Grouped,
-            0x90B,
-        );
-        (ds.rows[0].row.ea, ds)
-    });
+    let evaluated = stratified_sample(pair, strat_cfg, &mut srng, |_, cond| {
+        let ds = profile(std::slice::from_ref(cond), scale, 0x90B)?;
+        Ok((ds.rows[0].row.ea, ds))
+    })
+    .expect("stratified sampling profiles");
+    assert_eq!(
+        failed.get(),
+        failed_before,
+        "fault-free stratified sampling skipped a condition"
+    );
     let mut strat_rows = Dataset::default();
     for e in &evaluated {
         strat_rows.extend(e.payload.clone());

@@ -51,8 +51,6 @@
 //! smokes: `--shards 1 --rate 250 --requests 60000` and
 //! `--shards 8 --rate 2000 --requests 120000`, both under `ci-default`.
 
-#![warn(clippy::unwrap_used)]
-
 use stca_fault::{FaultPlan, StcaError};
 use stca_serve::{
     serve_fleet, AnalyticEa, FleetConfig, FleetReport, RouterKind, ServeConfig, SyntheticStream,

@@ -14,7 +14,7 @@ pub mod evalfig;
 pub mod policyeval;
 pub mod table;
 
-pub use dataset::{build_pair_dataset, build_pair_dataset_checked, Dataset, LabeledRow, Scale};
+pub use dataset::{build_pair_dataset, Dataset, LabeledRow, Scale};
 
 /// Parse the common `--scale` argument from a binary's argv.
 pub fn scale_from_args() -> Scale {

@@ -24,8 +24,6 @@
 //! way capacity, which scaling preserves when workload footprints are scaled
 //! alongside (the workload crate does this).
 
-#![warn(clippy::unwrap_used)]
-
 pub mod address;
 pub mod cache;
 pub mod config;

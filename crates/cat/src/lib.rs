@@ -20,8 +20,6 @@
 //! * [`resctrl`] — a simulated `resctrl` filesystem binding (schemata strings)
 //!   so tooling written against the kernel interface can be tested offline.
 
-#![warn(clippy::unwrap_used)]
-
 pub mod allocation;
 pub mod cbm;
 pub mod cos;

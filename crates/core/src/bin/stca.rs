@@ -22,8 +22,6 @@
 //!
 //! Exit codes: 0 success, 1 runtime failure, 2 usage error.
 
-#![warn(clippy::unwrap_used)]
-
 use stca_cachesim::Counter;
 use stca_cat::AllocationSetting;
 use stca_core::pipeline;

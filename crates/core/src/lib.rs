@@ -17,8 +17,6 @@
 //!   service-time / timeout interaction that clustering raw counters does
 //!   not.
 
-#![warn(clippy::unwrap_used)]
-
 pub mod explorer;
 pub mod insight;
 pub mod pipeline;

@@ -17,13 +17,12 @@ use crate::{ExplorationResult, ModelConfig, PolicyExplorer, Predictor};
 use stca_cachesim::{CacheGeometry, HierarchyConfig};
 use stca_cat::layout::ExperimentLayout;
 use stca_fault::{Checkpoint, RetryPolicy, StcaError};
-use stca_profiler::executor::{run_experiment_checked, ExperimentSpec};
-use stca_profiler::profile::{ProfileRow, ProfileSet};
+use stca_profiler::executor::{self, ExperimentSpec};
+use stca_profiler::profile::ProfileSet;
 use stca_profiler::sampler::CounterOrdering;
 use stca_profiler::storage;
 use stca_scenario::{fnv1a, ModelKind, PredictorKind, ScenarioSpec, Stage};
 use stca_serve::FleetReport;
-use stca_util::Rng64;
 use stca_workloads::{RuntimeCondition, WorkloadSpec};
 use std::path::{Path, PathBuf};
 
@@ -85,121 +84,37 @@ pub fn profile_conditions(
     checkpoint: Option<&Path>,
 ) -> Result<ProfileSet, StcaError> {
     let pair = spec.workloads.pair;
-    let n = spec.profile.conditions as usize;
     let seed = spec.profile.seed;
-    let plan = &spec.fault.plan;
-    let retry = RetryPolicy::with_max_retries(spec.fault.max_retries);
-    let config = hierarchy_config(spec);
-    let layout = experiment_layout(spec);
-    let mut rng = Rng64::new(seed);
     // conditions are drawn serially; the experiments (the expensive part)
     // run in parallel, each with its original per-condition seed
-    let conditions: Vec<RuntimeCondition> = (0..n)
-        .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, &mut rng))
-        .collect();
-    let meta = profile_meta(spec);
-    let mut ckpt = match checkpoint {
-        Some(path) => Some(Checkpoint::load_or_new(path, &meta)?),
-        None => None,
-    };
-    let cached: Vec<Option<Vec<ProfileRow>>> = (0..n)
-        .map(|i| {
-            let ck = ckpt.as_ref()?;
-            match ck.get(&format!("cond.{i}")) {
-                Some(stca_obs::json::Value::Array(rows)) => rows
-                    .iter()
-                    .map(|v| storage::row_from_json(v).ok())
-                    .collect(),
-                Some(stca_obs::json::Value::String(s)) if s.starts_with("failed") => {
-                    // a condition that failed in the previous run stays
-                    // failed on resume (same plan seed ⇒ same faults)
-                    Some(Vec::new())
-                }
-                _ => None,
-            }
-        })
-        .collect();
+    let conditions =
+        RuntimeCondition::random_pairs(pair.0, pair.1, spec.profile.conditions as usize, seed);
+    let config = hierarchy_config(spec);
+    let layout = experiment_layout(spec);
     let accesses = match spec.profile.accesses_per_query {
         0 => None,
         v => Some(v),
     };
-    let results = stca_exec::par_map_indexed_caught(&conditions, |i, condition| {
-        if let Some(rows) = &cached[i] {
-            return Ok(rows.clone());
-        }
-        stca_obs::info!(
-            "[{}/{}] util=({:.2},{:.2}) T=({:.2},{:.2})",
-            i + 1,
-            n,
-            condition.workloads[0].utilization,
-            condition.workloads[1].utilization,
-            condition.workloads[0].timeout_ratio,
-            condition.workloads[1].timeout_ratio
-        );
-        let exp = ExperimentSpec {
-            config,
-            layout: layout.clone(),
-            measured_queries: spec.profile.measured_queries as usize,
-            warmup_queries: spec.profile.warmup_queries as usize,
-            accesses_per_query: accesses,
-            ..ExperimentSpec::standard(condition.clone(), seed ^ ((i as u64) << 16))
-        };
-        run_experiment_checked(exp, plan, &retry).map(|out| {
-            out.workloads
-                .iter()
-                .enumerate()
-                .map(|(j, w)| ProfileRow::from_outcome(condition, j, w, CounterOrdering::Grouped))
-                .collect::<Vec<ProfileRow>>()
-        })
-    });
+    let spec_of = |i: usize, condition: &RuntimeCondition| ExperimentSpec {
+        config,
+        layout: layout.clone(),
+        measured_queries: spec.profile.measured_queries as usize,
+        warmup_queries: spec.profile.warmup_queries as usize,
+        accesses_per_query: accesses,
+        ..ExperimentSpec::standard(condition.clone(), seed ^ ((i as u64) << 16))
+    };
+    let meta = profile_meta(spec);
+    let per_condition = executor::run_conditions(
+        &conditions,
+        spec_of,
+        CounterOrdering::Grouped,
+        &spec.fault.plan,
+        &RetryPolicy::with_max_retries(spec.fault.max_retries),
+        checkpoint.map(|path| (path, meta.as_str())),
+    )?;
     let mut set = ProfileSet::new();
-    let mut failed = 0usize;
-    for (i, result) in results.into_iter().enumerate() {
-        let flattened = match result {
-            Ok(inner) => inner.map_err(|e| e.to_string()),
-            Err(panic_msg) => Err(format!("panicked: {panic_msg}")),
-        };
-        match flattened {
-            Ok(rows) => {
-                if rows.is_empty() {
-                    failed += 1; // resumed failure marker
-                } else if let Some(ck) = ckpt.as_mut() {
-                    if cached[i].is_none() {
-                        ck.put(
-                            format!("cond.{i}"),
-                            stca_obs::json::Value::Array(
-                                rows.iter().map(storage::row_to_json).collect(),
-                            ),
-                        );
-                    }
-                }
-                for row in rows {
-                    set.push(row);
-                }
-            }
-            Err(reason) => {
-                failed += 1;
-                stca_obs::counter("fault.conditions_failed_total").inc();
-                stca_obs::warn!("condition {i} failed, skipping: {reason}");
-                if let Some(ck) = ckpt.as_mut() {
-                    ck.put(
-                        format!("cond.{i}"),
-                        stca_obs::json::Value::String(format!("failed: {reason}")),
-                    );
-                }
-            }
-        }
-    }
-    if let Some(ck) = ckpt.as_mut() {
-        ck.save()?;
-    }
-    if failed > 0 {
-        stca_obs::warn!("{failed}/{n} conditions failed under the fault plan");
-    }
-    if set.is_empty() {
-        return Err(StcaError::invalid_input(format!(
-            "all {n} profiling conditions failed under the fault plan"
-        )));
+    for (_, row) in per_condition.into_iter().flatten() {
+        set.push(row);
     }
     Ok(set)
 }

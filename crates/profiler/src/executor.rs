@@ -16,15 +16,23 @@
 //! allocation and sets a cycles→seconds factor such that the solo mean
 //! service time equals the Table-1 baseline; at run time, contention and
 //! boosts change cycles-per-access and therefore realized service times.
+//!
+//! [`run_conditions`] is the profiling driver: every caller that profiles
+//! a list of conditions runs them through it.
 
+use crate::profile::ProfileRow;
 use crate::proxy::ProxyService;
+use crate::sampler::CounterOrdering;
+use crate::storage;
 use stca_cachesim::{Counter, CounterSet, Hierarchy, HierarchyConfig, MaskMode};
 use stca_cat::layout::ExperimentLayout;
 use stca_cat::ShortTermPolicy;
-use stca_fault::{with_retry, FaultPlan, RetryPolicy, StcaError};
+use stca_fault::{with_retry, Checkpoint, FaultPlan, RetryPolicy, StcaError};
+use stca_obs::json::Value;
 use stca_util::{Distribution, Percentiles, Rng64, Seconds};
 use stca_workloads::{AccessGenerator, RuntimeCondition, WorkloadSpec};
 use std::collections::VecDeque;
+use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 /// Full description of one experiment run.
@@ -732,14 +740,177 @@ impl TestEnvironment {
 }
 
 /// One-shot checked experiment: validate the spec, then run it under the
-/// fault plan and retry policy. This is the entry point the CLI and the
-/// bench dataset builder use on the fault-tolerant path.
+/// fault plan and retry policy. Under [`FaultPlan::none`] the outcome is
+/// bit-identical to [`TestEnvironment::run`].
 pub fn run_experiment_checked(
     spec: ExperimentSpec,
     plan: &FaultPlan,
     retry: &RetryPolicy,
 ) -> Result<ExperimentOutcome, StcaError> {
     TestEnvironment::try_new(spec)?.run_with_retry(plan, retry)
+}
+
+/// The rows one condition produced: `(workload index in the condition,
+/// row)`, in workload order. Empty when the condition failed; shorter than
+/// the condition when damaged rows were rejected.
+pub type ConditionRows = Vec<(usize, ProfileRow)>;
+
+/// The profiling driver: run every condition through
+/// [`run_experiment_checked`] in parallel and return each condition's
+/// rows, in condition order at any thread count.
+///
+/// * `spec_of(i, condition)` shapes condition `i`'s experiment (its seed,
+///   platform, layout, run length).
+/// * A condition that exhausts its retries or panics is skipped: it yields
+///   no rows, ticks `fault.conditions_failed_total`, and is logged.
+/// * Rows with a non-finite value or a negative EA are rejected
+///   (`fault.rows_rejected_total`) so damaged measurements never reach a
+///   model.
+/// * With `checkpoint = Some((path, meta))`, finished conditions are
+///   loaded from and saved to the checkpoint under `cond.<i>`, so a killed
+///   run resumes bit-identically. A recorded `failed: …` marker is sticky:
+///   the same plan seed would inject the same faults, so the condition is
+///   not re-run. A checkpoint taken under another `meta` is discarded.
+///
+/// Errors when the checkpoint cannot be read or written, or when no
+/// condition produced a row.
+pub fn run_conditions(
+    conditions: &[RuntimeCondition],
+    spec_of: impl Fn(usize, &RuntimeCondition) -> ExperimentSpec + Sync,
+    ordering: CounterOrdering,
+    plan: &FaultPlan,
+    retry: &RetryPolicy,
+    checkpoint: Option<(&Path, &str)>,
+) -> Result<Vec<ConditionRows>, StcaError> {
+    let n = conditions.len();
+    let mut ckpt = checkpoint
+        .map(|(path, meta)| Checkpoint::load_or_new(path, meta))
+        .transpose()?;
+    // resumed conditions: Some(rows) = finished, where an empty list is a
+    // recorded failure
+    let cached: Vec<Option<Vec<ProfileRow>>> = (0..n)
+        .map(|i| match ckpt.as_ref()?.get(&format!("cond.{i}"))? {
+            Value::Array(rows) => rows
+                .iter()
+                .map(|v| storage::row_from_json(v).ok())
+                .collect(),
+            Value::String(s) if s.starts_with("failed") => Some(Vec::new()),
+            _ => None,
+        })
+        .collect();
+    let results = stca_exec::par_map_indexed_caught(conditions, |i, condition| {
+        if let Some(rows) = &cached[i] {
+            return Ok(rows.clone());
+        }
+        stca_obs::info!(
+            "[{}/{n}] util=({}) T=({})",
+            i + 1,
+            join_fixed2(condition.workloads.iter().map(|w| w.utilization)),
+            join_fixed2(condition.workloads.iter().map(|w| w.timeout_ratio))
+        );
+        run_experiment_checked(spec_of(i, condition), plan, retry).map(|out| {
+            out.workloads
+                .iter()
+                .enumerate()
+                .map(|(j, w)| ProfileRow::from_outcome(condition, j, w, ordering))
+                .collect::<Vec<ProfileRow>>()
+        })
+    });
+    let failed_counter = stca_obs::counter("fault.conditions_failed_total");
+    let mut failed = 0usize;
+    let mut out = Vec::with_capacity(n);
+    for (i, result) in results.into_iter().enumerate() {
+        let flattened = match result {
+            Ok(inner) => inner.map_err(|e| e.to_string()),
+            Err(panic_msg) => Err(format!("panicked: {panic_msg}")),
+        };
+        let rows = match flattened {
+            Ok(rows) => {
+                if let (Some(ck), None) = (ckpt.as_mut(), &cached[i]) {
+                    ck.put(
+                        format!("cond.{i}"),
+                        Value::Array(rows.iter().map(storage::row_to_json).collect()),
+                    );
+                }
+                rows
+            }
+            Err(reason) => {
+                failed_counter.inc();
+                stca_obs::warn!("condition {i} failed, skipping: {reason}");
+                if let Some(ck) = ckpt.as_mut() {
+                    ck.put(
+                        format!("cond.{i}"),
+                        Value::String(format!("failed: {reason}")),
+                    );
+                }
+                Vec::new()
+            }
+        };
+        if rows.is_empty() {
+            failed += 1;
+        }
+        out.push(
+            rows.into_iter()
+                .enumerate()
+                .filter(|(j, row)| match validate_row(row) {
+                    Ok(()) => true,
+                    Err(reason) => {
+                        stca_fault::sanitize::reject_row(
+                            &format!("condition {i} workload {j}"),
+                            &reason,
+                        );
+                        false
+                    }
+                })
+                .collect::<ConditionRows>(),
+        );
+    }
+    if let Some(ck) = ckpt.as_mut() {
+        ck.save()?;
+    }
+    if failed > 0 {
+        stca_obs::warn!("{failed}/{n} conditions failed under the fault plan");
+    }
+    if out.iter().all(Vec::is_empty) {
+        return Err(StcaError::invalid_input(format!(
+            "all {n} profiling conditions failed under the fault plan"
+        )));
+    }
+    Ok(out)
+}
+
+/// `a,b,…` with two decimals (the per-condition progress line).
+fn join_fixed2(values: impl Iterator<Item = f64>) -> String {
+    values
+        .map(|v| format!("{v:.2}"))
+        .collect::<Vec<_>>()
+        .join(",")
+}
+
+/// A row may enter a dataset only if every feature, target, and trace
+/// value is finite and the EA is non-negative: corrupted measurements
+/// (fault injection, stuck sensors) would otherwise poison training.
+fn validate_row(row: &ProfileRow) -> Result<(), String> {
+    if !row.ea.is_finite() || row.ea < 0.0 {
+        return Err(format!("EA {} out of range", row.ea));
+    }
+    for (name, v) in [
+        ("base_service_norm", row.base_service_norm),
+        ("mean_response_norm", row.mean_response_norm),
+        ("p95_response_norm", row.p95_response_norm),
+        ("allocation_ratio", row.allocation_ratio),
+    ] {
+        if !v.is_finite() {
+            return Err(format!("{name} is {v}"));
+        }
+    }
+    if !row.static_features.iter().all(|v| v.is_finite()) {
+        return Err("non-finite static feature".into());
+    }
+    if !row.trace.as_slice().iter().all(|v| v.is_finite()) {
+        return Err("non-finite trace value".into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -982,6 +1153,168 @@ mod tests {
         assert_eq!(a.workloads[0].trace, b.workloads[0].trace);
         assert_eq!(a.workloads[1].trace, b.workloads[1].trace);
         assert_eq!(a.workloads[0].response_times, b.workloads[0].response_times);
+    }
+
+    fn driver_conditions(n: usize) -> Vec<RuntimeCondition> {
+        RuntimeCondition::random_pairs(BenchmarkId::Knn, BenchmarkId::Bfs, n, 17)
+    }
+
+    fn temp_checkpoint(tag: &str) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("stca-driver-{tag}-{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    fn row_bits(rows: &[ConditionRows]) -> Vec<(usize, u64, Vec<u64>)> {
+        rows.iter()
+            .flatten()
+            .map(|(j, r)| {
+                let trace = r.trace.as_slice().iter().map(|x| x.to_bits()).collect();
+                (*j, r.ea.to_bits(), trace)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn driver_resumes_from_checkpoint_bit_identically() {
+        let conditions = driver_conditions(3);
+        let path = temp_checkpoint("resume");
+        let run = |ckpt: Option<(&Path, &str)>| {
+            run_conditions(
+                &conditions,
+                |i, c| ExperimentSpec::quick(c.clone(), 17 ^ ((i as u64) << 20)),
+                CounterOrdering::Grouped,
+                &FaultPlan::ci_default(),
+                &RetryPolicy::default(),
+                ckpt,
+            )
+            .expect("survivable plan")
+        };
+        let uninterrupted = run(None);
+        let full = run(Some((&path, "driver-test")));
+        assert_eq!(row_bits(&uninterrupted), row_bits(&full));
+
+        // simulate a mid-run kill: keep only the first condition's entry
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        let mut doc = Value::parse(&text).expect("valid json");
+        if let Value::Object(ref mut top) = doc {
+            if let Some(Value::Object(entries)) = top.get_mut("entries") {
+                entries.retain(|k, _| k == "cond.0");
+                assert_eq!(entries.len(), 1);
+            }
+        }
+        std::fs::write(&path, doc.to_string()).expect("write partial");
+        let resumed = run(Some((&path, "driver-test")));
+        assert_eq!(row_bits(&uninterrupted), row_bits(&resumed));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn recorded_failure_stays_failed_on_resume() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let conditions = driver_conditions(3);
+        let path = temp_checkpoint("sticky");
+        let calls = AtomicUsize::new(0);
+        let run = |poison: Option<usize>| {
+            run_conditions(
+                &conditions,
+                |i, c| {
+                    calls.fetch_add(1, Ordering::Relaxed);
+                    assert_ne!(Some(i), poison, "synthetic spec failure");
+                    ExperimentSpec::quick(c.clone(), i as u64)
+                },
+                CounterOrdering::Grouped,
+                &FaultPlan::none(),
+                &RetryPolicy::default(),
+                Some((&path, "sticky-test")),
+            )
+            .expect("two conditions survive")
+        };
+        let first = run(Some(1));
+        assert_eq!(first.iter().map(Vec::len).collect::<Vec<_>>(), [2, 0, 2]);
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        assert!(
+            text.contains("failed: panicked: "),
+            "failure marker recorded"
+        );
+
+        // the resumed run re-runs nothing: the failure is sticky even
+        // though the condition would now succeed
+        calls.store(0, Ordering::Relaxed);
+        let resumed = run(None);
+        assert_eq!(calls.load(Ordering::Relaxed), 0);
+        assert_eq!(row_bits(&first), row_bits(&resumed));
+        assert!(resumed[1].is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn driver_drops_and_counts_damaged_rows() {
+        let conditions = driver_conditions(2);
+        let path = temp_checkpoint("reject");
+        let run = || {
+            run_conditions(
+                &conditions,
+                |i, c| ExperimentSpec::quick(c.clone(), i as u64),
+                CounterOrdering::Grouped,
+                &FaultPlan::none(),
+                &RetryPolicy::default(),
+                Some((&path, "reject-test")),
+            )
+            .expect("rows survive")
+        };
+        let clean = run();
+        assert_eq!(clean[0].len(), 2);
+
+        // damage workload 0's EA in the checkpointed cond.0 entry; floats
+        // are stored as bit strings, so the NaN survives the round trip
+        let text = std::fs::read_to_string(&path).expect("checkpoint written");
+        let mut doc = Value::parse(&text).expect("valid json");
+        let Value::Object(ref mut top) = doc else {
+            panic!("checkpoint is an object")
+        };
+        let Some(Value::Object(entries)) = top.get_mut("entries") else {
+            panic!("checkpoint has entries")
+        };
+        let Some(Value::Array(rows)) = entries.get_mut("cond.0") else {
+            panic!("cond.0 holds rows")
+        };
+        let mut damaged = storage::row_from_json(&rows[0]).expect("stored row decodes");
+        damaged.ea = f64::NAN;
+        rows[0] = storage::row_to_json(&damaged);
+        std::fs::write(&path, doc.to_string()).expect("write damaged");
+
+        let before = stca_fault::sanitize::rows_rejected_total();
+        let resumed = run();
+        // only this crate's driver rejects rows, and every other driver
+        // test sees undamaged ones, so no concurrent test ticks the counter
+        assert_eq!(stca_fault::sanitize::rows_rejected_total(), before + 1);
+        let kept: Vec<usize> = resumed[0].iter().map(|(j, _)| *j).collect();
+        assert_eq!(kept, [1], "the damaged workload-0 row is dropped");
+        assert_eq!(row_bits(&clean[..1])[1..], row_bits(&resumed[..1])[..]);
+        assert_eq!(row_bits(&clean[1..]), row_bits(&resumed[1..]));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn damaged_rows_are_rejected() {
+        let cond = RuntimeCondition::pair(BenchmarkId::Knn, 0.7, 1.0, BenchmarkId::Bfs, 0.7, 1.0);
+        let out = TestEnvironment::new(ExperimentSpec::quick(cond.clone(), 3)).run();
+        let row = ProfileRow::from_outcome(&cond, 0, &out.workloads[0], CounterOrdering::Grouped);
+        assert!(validate_row(&row).is_ok());
+        let mut bad = row.clone();
+        bad.ea = f64::NAN;
+        assert!(validate_row(&bad).is_err());
+        let mut bad = row.clone();
+        bad.ea = -0.5;
+        assert!(validate_row(&bad).is_err());
+        let mut bad = row.clone();
+        bad.trace.as_mut_slice()[0] = f64::INFINITY;
+        assert!(validate_row(&bad).is_err());
+        let mut bad = row;
+        bad.p95_response_norm = f64::NAN;
+        assert!(validate_row(&bad).is_err());
     }
 
     #[test]

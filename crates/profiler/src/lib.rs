@@ -26,12 +26,17 @@
 //!   (seed experiments → cluster by EA → refine near centroids).
 //!
 //! The profiler is the first stage of the fault-tolerant path (`stca-fault`):
-//! [`executor::run_experiment_checked`] runs experiments under a
-//! [`stca_fault::FaultPlan`] with retry, [`sampler::sanitize_trace`] repairs
-//! or rejects damaged traces, and [`stratified::stratified_sample_checked`]
-//! skips failed conditions instead of aborting the sweep.
-
-#![warn(clippy::unwrap_used)]
+//! [`executor::run_experiment_checked`] runs one experiment under a
+//! [`stca_fault::FaultPlan`] with retry, and [`sampler::sanitize_trace`]
+//! repairs or rejects damaged traces. Every caller that profiles a list of
+//! conditions — `stca profile`, the scenario runner, the bench dataset
+//! builders — goes through the one driver, [`executor::run_conditions`]:
+//! it runs the conditions in parallel, skips the ones that fail, rejects
+//! damaged rows, and checkpoints finished conditions so a killed run
+//! resumes bit-identically. A fault-free caller passes
+//! [`stca_fault::FaultPlan::none`], under which the run is bit-identical
+//! to an unchecked one. [`stratified::stratified_sample`] likewise skips
+//! failed conditions instead of aborting the sweep.
 
 pub mod ea;
 pub mod executor;
@@ -48,4 +53,4 @@ pub use executor::{
 pub use profile::{ProfileRow, ProfileSet};
 pub use proxy::ProxyService;
 pub use sampler::{apply_faults, sanitize_trace, TraceSanitizeReport};
-pub use stratified::{stratified_sample_checked, EvaluatedCondition};
+pub use stratified::{stratified_sample, EvaluatedCondition};

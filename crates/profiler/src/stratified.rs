@@ -80,123 +80,25 @@ fn jittered_near(c: &RuntimeCondition, jitter: f64, rng: &mut Rng64) -> RuntimeC
 }
 
 /// Run the stratified sampling procedure for a collocation pair. The
-/// returned list contains every evaluated condition (seeds + refinements),
-/// which becomes the profiling dataset.
-///
-/// Thin wrapper over [`stratified_sample_with`] for evaluators that only
-/// return the measured EA.
-pub fn stratified_sample(
-    pair: (BenchmarkId, BenchmarkId),
-    config: StratifiedConfig,
-    rng: &mut Rng64,
-    evaluate: impl Fn(&RuntimeCondition) -> f64 + Sync,
-) -> Vec<EvaluatedCondition> {
-    stratified_sample_with(pair, config, rng, |c| (evaluate(c), ()))
-}
-
-/// Stratified sampling with an evaluator that returns `(ea, payload)`.
+/// returned list holds every evaluated condition (seeds + refinements) in
+/// draw order, each with the payload its evaluation produced alongside the
+/// EA (e.g. dataset rows); it becomes the profiling dataset.
 ///
 /// Conditions are drawn serially from `rng` (the procedure is inherently
 /// sequential: each round clusters everything evaluated so far), but each
-/// batch of drawn conditions is *evaluated* in parallel. The evaluator must
-/// therefore be `Fn + Sync`; any internal randomness should be derived from
-/// the condition itself or a per-condition seed, not shared mutable state.
-/// Results are returned in draw order at any thread count.
-pub fn stratified_sample_with<T: Send>(
-    pair: (BenchmarkId, BenchmarkId),
-    config: StratifiedConfig,
-    rng: &mut Rng64,
-    evaluate: impl Fn(&RuntimeCondition) -> (f64, T) + Sync,
-) -> Vec<EvaluatedCondition<T>> {
-    assert!(
-        config.seeds >= config.clusters,
-        "need at least one seed per cluster"
-    );
-    stca_obs::time_scope!("profiler.stratified.run_seconds");
-    stca_obs::debug!(
-        "stratified sampling {}({}): {} seeds, {} clusters x {} x {} rounds",
-        pair.0,
-        pair.1,
-        config.seeds,
-        config.clusters,
-        config.per_cluster,
-        config.rounds
-    );
-    let eval_batch =
-        |conditions: Vec<RuntimeCondition>, phase_counter: &str| -> Vec<EvaluatedCondition<T>> {
-            let results = stca_exec::par_map_indexed(&conditions, |_, c| evaluate(c));
-            conditions
-                .into_iter()
-                .zip(results)
-                .map(|(condition, (ea, payload))| {
-                    record_sample(phase_counter, ea);
-                    EvaluatedCondition {
-                        condition,
-                        ea,
-                        payload,
-                    }
-                })
-                .collect()
-        };
-
-    // seed phase
-    let seeds: Vec<RuntimeCondition> = (0..config.seeds)
-        .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, rng))
-        .collect();
-    let mut evaluated = eval_batch(seeds, "profiler.stratified.seed_samples_total");
-
-    for _ in 0..config.rounds {
-        // cluster by EA (1-D)
-        let points: Vec<Vec<f64>> = evaluated.iter().map(|e| vec![e.ea]).collect();
-        let km = kmeans(&points, config.clusters, 50, rng);
-        // per cluster: find the member closest to the centroid and generate
-        // neighbours around its *condition* (settings near the centroid
-        // setting, per §4). The whole round's neighbours are drawn first,
-        // then evaluated as one parallel batch and appended after the
-        // cluster loop so cluster assignments stay index-aligned.
-        let mut staged: Vec<RuntimeCondition> = Vec::new();
-        for c in 0..km.centroids.len() {
-            let centroid_ea = km.centroids[c][0];
-            let representative = evaluated
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| km.assignment[*i] == c)
-                .min_by(|(_, a), (_, b)| {
-                    (a.ea - centroid_ea)
-                        .abs()
-                        .partial_cmp(&(b.ea - centroid_ea).abs())
-                        .expect("finite EA")
-                })
-                .map(|(_, e)| e.condition.clone());
-            let Some(rep) = representative else { continue };
-            for _ in 0..config.per_cluster {
-                staged.push(jittered_near(&rep, config.jitter, rng));
-            }
-        }
-        evaluated.extend(eval_batch(
-            staged,
-            "profiler.stratified.refine_samples_total",
-        ));
-    }
-    stca_obs::debug!(
-        "stratified sampling done: {} conditions evaluated",
-        evaluated.len()
-    );
-    evaluated
-}
-
-/// Fault-tolerant stratified sampling.
+/// batch of drawn conditions is *evaluated* in parallel, so the evaluator
+/// must be `Fn + Sync` and derive any randomness from the condition or its
+/// global draw index `i` (passed as the first argument), never from shared
+/// mutable state. Results are identical at any thread count.
 ///
-/// Like [`stratified_sample_with`], but the evaluator is fallible and may
-/// panic: conditions whose evaluation fails (or panics — isolated via the
-/// exec pool's catch-unwind path) are *skipped* with a warning and counted
-/// in `fault.conditions_failed_total`, and clustering proceeds over the
-/// survivors. The evaluator also receives the condition's global draw index
-/// so per-condition seeds can be derived deterministically.
+/// A condition whose evaluation fails (or panics — isolated via the exec
+/// pool's catch-unwind path) is *skipped* with a warning and counted in
+/// `fault.conditions_failed_total`, and clustering proceeds over the
+/// survivors (with fewer clusters if fewer survivors than `clusters`).
 ///
 /// Errors only when the procedure cannot continue: fewer seeds than
 /// clusters requested, or every seed condition failed.
-pub fn stratified_sample_checked<T: Send>(
+pub fn stratified_sample<T: Send>(
     pair: (BenchmarkId, BenchmarkId),
     config: StratifiedConfig,
     rng: &mut Rng64,
@@ -209,6 +111,15 @@ pub fn stratified_sample_checked<T: Send>(
         )));
     }
     stca_obs::time_scope!("profiler.stratified.run_seconds");
+    stca_obs::debug!(
+        "stratified sampling {}({}): {} seeds, {} clusters x {} x {} rounds",
+        pair.0,
+        pair.1,
+        config.seeds,
+        config.clusters,
+        config.per_cluster,
+        config.rounds
+    );
     let failed = stca_obs::counter("fault.conditions_failed_total");
     // `drawn` is the global draw index offset for the current batch, so the
     // evaluator sees a stable per-condition index regardless of how many
@@ -267,6 +178,11 @@ pub fn stratified_sample_checked<T: Send>(
         // survivors may number fewer than the requested clusters
         let k = config.clusters.min(points.len());
         let km = kmeans(&points, k, 50, rng);
+        // per cluster: find the member closest to the centroid and generate
+        // neighbours around its *condition* (settings near the centroid
+        // setting, per §4). The whole round's neighbours are drawn first,
+        // then evaluated as one parallel batch and appended after the
+        // cluster loop so cluster assignments stay index-aligned.
         let mut staged: Vec<RuntimeCondition> = Vec::new();
         for c in 0..km.centroids.len() {
             let centroid_ea = km.centroids[c][0];
@@ -290,38 +206,11 @@ pub fn stratified_sample_checked<T: Send>(
         evaluated.extend(refined);
     }
     stca_obs::debug!(
-        "stratified (checked) done: {} of {} drawn conditions evaluated",
+        "stratified sampling done: {} of {} drawn conditions evaluated",
         evaluated.len(),
         drawn
     );
     Ok(evaluated)
-}
-
-/// Plain uniform sampling of `n` conditions (the comparison point the paper
-/// abandoned for over-sampling). Conditions are drawn serially, evaluated
-/// in parallel, and returned in draw order.
-pub fn uniform_sample(
-    pair: (BenchmarkId, BenchmarkId),
-    n: usize,
-    rng: &mut Rng64,
-    evaluate: impl Fn(&RuntimeCondition) -> f64 + Sync,
-) -> Vec<EvaluatedCondition> {
-    let conditions: Vec<RuntimeCondition> = (0..n)
-        .map(|_| RuntimeCondition::random_pair(pair.0, pair.1, rng))
-        .collect();
-    let eas = stca_exec::par_map_indexed(&conditions, |_, c| evaluate(c));
-    conditions
-        .into_iter()
-        .zip(eas)
-        .map(|(condition, ea)| {
-            record_sample("profiler.uniform.samples_total", ea);
-            EvaluatedCondition {
-                condition,
-                ea,
-                payload: (),
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -334,6 +223,11 @@ mod tests {
         let w = &c.workloads[0];
         let cliff = if w.timeout_ratio < 1.0 { 0.3 } else { 0.8 };
         cliff + 0.1 * w.utilization
+    }
+
+    /// [`surface`] as an evaluator that never fails.
+    fn infallible(_: usize, c: &RuntimeCondition) -> Result<(f64, ()), StcaError> {
+        Ok((surface(c), ()))
     }
 
     #[test]
@@ -350,8 +244,9 @@ mod tests {
             (BenchmarkId::Redis, BenchmarkId::Social),
             cfg,
             &mut rng,
-            surface,
-        );
+            infallible,
+        )
+        .expect("no failures");
         // 10 seeds + 2 rounds x 3 clusters x 2 = 22
         assert_eq!(out.len(), 22);
         assert!(out.iter().all(|e| e.condition.in_bounds()));
@@ -367,7 +262,13 @@ mod tests {
             rounds: 1,
             jitter: 0.05,
         };
-        let out = stratified_sample((BenchmarkId::Knn, BenchmarkId::Bfs), cfg, &mut rng, surface);
+        let out = stratified_sample(
+            (BenchmarkId::Knn, BenchmarkId::Bfs),
+            cfg,
+            &mut rng,
+            infallible,
+        )
+        .expect("no failures");
         let refinements = &out[16..];
         // both sides of the EA cliff get refined (low-EA and high-EA regions)
         let low = refinements.iter().filter(|e| e.ea < 0.5).count();
@@ -376,20 +277,6 @@ mod tests {
             low > 0 && high > 0,
             "both strata sampled: low={low} high={high}"
         );
-    }
-
-    #[test]
-    fn uniform_sampling_covers_space() {
-        let mut rng = Rng64::new(3);
-        let out = uniform_sample((BenchmarkId::Knn, BenchmarkId::Bfs), 50, &mut rng, surface);
-        assert_eq!(out.len(), 50);
-        let utils: Vec<f64> = out
-            .iter()
-            .map(|e| e.condition.workloads[0].utilization)
-            .collect();
-        let min = utils.iter().cloned().fold(f64::INFINITY, f64::min);
-        let max = utils.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        assert!(min < 0.4 && max > 0.8, "uniform spread: {min}..{max}");
     }
 
     #[test]
@@ -402,16 +289,17 @@ mod tests {
             (BenchmarkId::Jacobi, BenchmarkId::Spstream),
             cfg,
             &mut rng,
-            |c| {
+            |i, c| {
                 calls.fetch_add(1, Ordering::Relaxed);
-                surface(c)
+                infallible(i, c)
             },
-        );
+        )
+        .expect("no failures");
         assert_eq!(calls.load(Ordering::Relaxed), out.len());
     }
 
     #[test]
-    fn checked_sampler_skips_failed_conditions() {
+    fn sampler_skips_failed_conditions() {
         let mut rng = Rng64::new(6);
         let cfg = StratifiedConfig {
             seeds: 10,
@@ -420,7 +308,7 @@ mod tests {
             rounds: 1,
             jitter: 0.1,
         };
-        let out = stratified_sample_checked(
+        let out = stratified_sample(
             (BenchmarkId::Knn, BenchmarkId::Bfs),
             cfg,
             &mut rng,
@@ -443,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_sampler_isolates_panics() {
+    fn sampler_isolates_panics() {
         let mut rng = Rng64::new(7);
         let cfg = StratifiedConfig {
             seeds: 6,
@@ -452,7 +340,7 @@ mod tests {
             rounds: 1,
             jitter: 0.1,
         };
-        let out = stratified_sample_checked(
+        let out = stratified_sample(
             (BenchmarkId::Knn, BenchmarkId::Bfs),
             cfg,
             &mut rng,
@@ -468,7 +356,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_sampler_errors_when_everything_fails() {
+    fn sampler_errors_when_everything_fails() {
         let mut rng = Rng64::new(8);
         let cfg = StratifiedConfig {
             seeds: 4,
@@ -477,7 +365,7 @@ mod tests {
             rounds: 1,
             jitter: 0.1,
         };
-        let err = stratified_sample_checked::<()>(
+        let err = stratified_sample::<()>(
             (BenchmarkId::Knn, BenchmarkId::Bfs),
             cfg,
             &mut rng,
@@ -493,7 +381,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_sampler_rejects_bad_config() {
+    fn sampler_rejects_bad_config() {
         let mut rng = Rng64::new(9);
         let cfg = StratifiedConfig {
             seeds: 2,
@@ -503,11 +391,11 @@ mod tests {
             jitter: 0.1,
         };
         assert!(matches!(
-            stratified_sample_checked(
+            stratified_sample(
                 (BenchmarkId::Knn, BenchmarkId::Bfs),
                 cfg,
                 &mut rng,
-                |_, c| Ok((surface(c), ())),
+                infallible,
             ),
             Err(StcaError::InvalidInput { .. })
         ));
@@ -523,11 +411,16 @@ mod tests {
             rounds: 1,
             jitter: 0.1,
         };
-        let out =
-            stratified_sample_with((BenchmarkId::Knn, BenchmarkId::Bfs), cfg, &mut rng, |c| {
+        let out = stratified_sample(
+            (BenchmarkId::Knn, BenchmarkId::Bfs),
+            cfg,
+            &mut rng,
+            |_, c| {
                 let ea = surface(c);
-                (ea, format!("{ea:.6}"))
-            });
+                Ok((ea, format!("{ea:.6}")))
+            },
+        )
+        .expect("no failures");
         assert_eq!(out.len(), 8 + 2 * 2);
         for e in &out {
             assert_eq!(e.payload, format!("{:.6}", e.ea), "payload matches its row");

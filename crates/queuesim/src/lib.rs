@@ -24,13 +24,11 @@
 //! the whole allocation increase into speedup; contention drives EA (and the
 //! realized boost) down.
 
-#![warn(clippy::unwrap_used)]
-
 pub mod analytic;
 pub mod metrics;
 pub mod simulator;
 pub mod slo;
 
 pub use metrics::SimResult;
-pub use simulator::{run_replications, BudgetedRun, QueueSim, RunBudget, StationConfig};
+pub use simulator::{run_replications, QueueSim, StationConfig};
 pub use slo::SloSpec;

@@ -17,7 +17,6 @@
 //! an ablation.
 
 use crate::metrics::SimResult;
-use stca_fault::StcaError;
 use stca_util::{Distribution, Rng64, Seconds};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -33,7 +32,6 @@ struct SimMetrics {
     server_utilization: Arc<stca_obs::Gauge>,
     run_seconds: Arc<stca_obs::Histogram>,
     quarantined: Arc<stca_obs::Counter>,
-    budget_exhausted: Arc<stca_obs::Counter>,
 }
 
 fn sim_metrics() -> &'static SimMetrics {
@@ -46,7 +44,6 @@ fn sim_metrics() -> &'static SimMetrics {
         server_utilization: stca_obs::gauge("queuesim.server_utilization"),
         run_seconds: stca_obs::histogram("queuesim.run_seconds"),
         quarantined: stca_obs::counter("queuesim.nonfinite_events_quarantined_total"),
-        budget_exhausted: stca_obs::counter("queuesim.budget_exhausted_total"),
     })
 }
 
@@ -305,47 +302,6 @@ impl Engine {
     }
 }
 
-/// An event/time budget for a bounded simulation run (the serving path's
-/// deadline propagation: a Stage-3 simulation embedded in a request with a
-/// deadline must not run unboundedly).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct RunBudget {
-    /// Stop after this many processed events (`None` = unlimited).
-    pub max_events: Option<u64>,
-    /// Stop once virtual time passes this point (`None` = unlimited).
-    pub max_virtual_s: Option<Seconds>,
-}
-
-impl RunBudget {
-    /// The unlimited budget: [`QueueSim::run_budgeted`] behaves exactly
-    /// like [`QueueSim::run`].
-    pub fn unlimited() -> Self {
-        RunBudget::default()
-    }
-
-    /// An event-count budget.
-    pub fn events(max_events: u64) -> Self {
-        RunBudget {
-            max_events: Some(max_events),
-            max_virtual_s: None,
-        }
-    }
-}
-
-/// The outcome of a budgeted run: the (possibly partial) statistics plus
-/// how the run ended.
-#[derive(Debug)]
-pub struct BudgetedRun {
-    /// Measured statistics up to the stopping point.
-    pub result: SimResult,
-    /// Whether the budget ran out before all queries completed.
-    pub exhausted: bool,
-    /// Events processed.
-    pub events: u64,
-    /// Non-finite events quarantined instead of scheduled.
-    pub quarantined: u64,
-}
-
 impl QueueSim {
     /// Create a simulator with a deterministic seed.
     pub fn new(config: StationConfig, seed: u64) -> Self {
@@ -357,55 +313,8 @@ impl QueueSim {
         }
     }
 
-    /// Validating constructor for the serving path: returns a typed error
-    /// instead of panicking on a malformed station.
-    pub fn try_new(config: StationConfig, seed: u64) -> Result<Self, StcaError> {
-        if config.servers < 1 {
-            return Err(StcaError::invalid_input("station needs at least 1 server"));
-        }
-        if !(config.boost_rate.is_finite() && config.boost_rate > 0.0) {
-            return Err(StcaError::invalid_input(format!(
-                "boost rate must be positive and finite, got {}",
-                config.boost_rate
-            )));
-        }
-        if !(config.expected_service.is_finite() && config.expected_service > 0.0) {
-            return Err(StcaError::invalid_input(format!(
-                "expected service must be positive and finite, got {}",
-                config.expected_service
-            )));
-        }
-        if !(config.timeout_ratio.is_finite() && config.timeout_ratio >= 0.0) {
-            return Err(StcaError::invalid_input(format!(
-                "timeout ratio must be non-negative and finite, got {}",
-                config.timeout_ratio
-            )));
-        }
-        for (what, mean) in [
-            ("inter-arrival", config.inter_arrival.mean()),
-            ("service", config.service.mean()),
-        ] {
-            if !(mean.is_finite() && mean > 0.0) {
-                return Err(StcaError::invalid_input(format!(
-                    "{what} distribution mean must be positive and finite, got {mean}"
-                )));
-            }
-        }
-        Ok(QueueSim::new(config, seed))
-    }
-
     /// Run to completion and return measured statistics.
     pub fn run(&mut self) -> SimResult {
-        self.run_budgeted(RunBudget::unlimited()).result
-    }
-
-    /// Run under an event/time budget. With [`RunBudget::unlimited`] this
-    /// is exactly [`QueueSim::run`]; otherwise the run stops as soon as the
-    /// budget is exceeded and reports `exhausted = true` with the partial
-    /// statistics gathered so far — the deadline-aware entry point used by
-    /// the serving loop, where a prediction request carries a deadline that
-    /// bounds how much simulation it may buy.
-    pub fn run_budgeted(&mut self, budget: RunBudget) -> BudgetedRun {
         let metrics = sim_metrics();
         let timer = stca_obs::StageTimer::with_histogram(metrics.run_seconds.clone());
         let cfg = self.config.clone();
@@ -447,14 +356,7 @@ impl QueueSim {
         let t0 = cfg.inter_arrival.sample(&mut self.rng);
         eng.push_event(t0, EventKind::Arrival);
 
-        let mut exhausted = false;
         while let Some(ev) = eng.heap.pop() {
-            if budget.max_events.is_some_and(|m| events_processed >= m)
-                || budget.max_virtual_s.is_some_and(|m| ev.time > m)
-            {
-                exhausted = true;
-                break;
-            }
             let now = ev.time;
             events_processed += 1;
             stca_obs::trace!("t={now:.6} event {:?}", ev.kind);
@@ -557,9 +459,6 @@ impl QueueSim {
         if eng.quarantined > 0 {
             metrics.quarantined.add(eng.quarantined);
         }
-        if exhausted {
-            metrics.budget_exhausted.inc();
-        }
         if result.makespan > 0.0 {
             metrics
                 .server_utilization
@@ -570,12 +469,7 @@ impl QueueSim {
             "run complete: {completed} queries, {events_processed} events, \
              {timeout_switches} timeout switches, {elapsed:.3}s wall"
         );
-        BudgetedRun {
-            result,
-            exhausted,
-            events: events_processed,
-            quarantined: eng.quarantined,
-        }
+        result
     }
 }
 
@@ -817,45 +711,13 @@ mod tests {
         cfg.inter_arrival = Distribution::Deterministic(f64::NAN);
         cfg.measured_queries = 100;
         cfg.warmup_queries = 0;
-        let run = QueueSim::new(cfg, 1).run_budgeted(RunBudget::unlimited());
-        assert_eq!(run.result.completed(), 0, "no arrivals were scheduled");
-        assert!(run.quarantined >= 1, "the NaN arrival was quarantined");
-        assert!(!run.exhausted);
-    }
-
-    #[test]
-    fn try_new_rejects_malformed_stations() {
-        let ok = base_config();
-        assert!(QueueSim::try_new(ok.clone(), 1).is_ok());
-        let mut bad = ok.clone();
-        bad.servers = 0;
-        assert!(QueueSim::try_new(bad, 1).is_err());
-        let mut bad = ok.clone();
-        bad.boost_rate = f64::NAN;
-        assert!(QueueSim::try_new(bad, 1).is_err());
-        let mut bad = ok.clone();
-        bad.timeout_ratio = -1.0;
-        assert!(QueueSim::try_new(bad, 1).is_err());
-        let mut bad = ok;
-        bad.inter_arrival = Distribution::Deterministic(f64::INFINITY);
-        assert!(QueueSim::try_new(bad, 1).is_err());
-    }
-
-    #[test]
-    fn budgeted_run_stops_at_the_event_budget() {
-        let mut cfg = base_config();
-        cfg.measured_queries = 5000;
-        let full = QueueSim::new(cfg.clone(), 11).run_budgeted(RunBudget::unlimited());
-        assert!(!full.exhausted);
-        assert!(full.events > 200);
-        let bounded = QueueSim::new(cfg, 11).run_budgeted(RunBudget::events(200));
-        assert!(bounded.exhausted, "budget must be reported as exhausted");
-        assert_eq!(bounded.events, 200);
-        assert!(bounded.result.completed() < 5000);
-        // the partial prefix is the same simulation: identical first stats
-        assert_eq!(
-            full.result.response_times[..bounded.result.response_times.len()],
-            bounded.result.response_times[..]
+        let quarantined = stca_obs::counter("queuesim.nonfinite_events_quarantined_total");
+        let before = quarantined.get();
+        let result = QueueSim::new(cfg, 1).run();
+        assert_eq!(result.completed(), 0, "no arrivals were scheduled");
+        assert!(
+            quarantined.get() > before,
+            "the NaN arrival was quarantined"
         );
     }
 

@@ -14,8 +14,6 @@
 //! `trace = seed ^ 0x7ACE`) so flag-built specs behave byte-identically
 //! to the pre-spec CLI.
 
-#![warn(clippy::unwrap_used)]
-
 pub mod convert;
 pub mod parse;
 pub mod spec;

@@ -509,7 +509,7 @@ fn apply_epoch(
         if crashed {
             if !was_crashed {
                 slot.crashes += 1;
-                sink.push(format!("event=shard_crash shard={id} epoch={epoch}"));
+                sink.push(format_args!("event=shard_crash shard={id} epoch={epoch}"));
                 for p in slot.core.flush_waiting() {
                     slot.rerouted_out += 1;
                     flushed.push((id, p));
@@ -521,16 +521,16 @@ fn apply_epoch(
         }
         if was_crashed {
             slot.recoveries += 1;
-            sink.push(format!("event=shard_recover shard={id} epoch={epoch}"));
+            sink.push(format_args!("event=shard_recover shard={id} epoch={epoch}"));
         }
         if slot.flapped {
             slot.flaps += 1;
-            sink.push(format!("event=shard_flap shard={id} epoch={epoch}"));
+            sink.push(format_args!("event=shard_flap shard={id} epoch={epoch}"));
         }
         let stall = plan.shard_stall_s(id, epoch, epoch_s);
         if stall > 0.0 {
             slot.stalls += 1;
-            sink.push(format!(
+            sink.push(format_args!(
                 "event=shard_stall shard={id} epoch={epoch} dur={:016x}",
                 stall.to_bits()
             ));
@@ -566,7 +566,7 @@ impl RouterState {
         sink: &mut DecisionSink,
     ) {
         self.shed += 1;
-        sink.push(format!("seq={seq} disp=router_shed hops={hops}"));
+        sink.push(format_args!("seq={seq} disp=router_shed hops={hops}"));
         if let (Some(rec), Some(ctx)) = (self.rec.as_ref(), ctx) {
             if let Ok(mut rec) = rec.lock() {
                 rec.record(ctx.finish(Disposition::RouterShed, now));
@@ -608,7 +608,7 @@ impl RouterState {
                 match target {
                     Some(to) => {
                         self.rerouted += 1;
-                        sink.push(format!(
+                        sink.push(format_args!(
                             "seq={} disp=reroute from={} to={} hops={}",
                             p.seq, from, to, p.hops
                         ));

@@ -40,7 +40,6 @@
 //! decision logs at `--threads 1` vs `8` under the heavy fault plan.
 
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used)]
 
 pub mod adapt;
 pub mod breaker;

@@ -25,18 +25,35 @@ use crate::Verdict;
 use stca_fault::{FaultInjector, FaultPlan};
 use stca_trace::{AttrValue, Disposition, FlightRecorder, Stage, TraceCtx};
 use std::collections::VecDeque;
+use std::fmt;
 
 pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Rolling FNV-1a decision-log hash plus the (optional) retained log.
 /// Entries are hashed as `entry + "\n"` so the hash equals the FNV-1a of
-/// the decision-log file bytes.
+/// the decision-log file bytes. Entry text is formatted straight into the
+/// hash (`fmt::Write`), so a run that keeps no log allocates nothing per
+/// entry; the entry `String` exists only when the log is kept.
 #[derive(Debug)]
 pub(crate) struct DecisionSink {
     hash: u64,
     log: Vec<String>,
-    keep: bool,
+    /// The entry being written (`Some` only when the log is kept).
+    line: Option<String>,
+}
+
+impl fmt::Write for DecisionSink {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for b in s.as_bytes() {
+            self.hash ^= u64::from(*b);
+            self.hash = self.hash.wrapping_mul(FNV_PRIME);
+        }
+        if let Some(line) = self.line.as_mut() {
+            line.push_str(s);
+        }
+        Ok(())
+    }
 }
 
 impl DecisionSink {
@@ -44,20 +61,29 @@ impl DecisionSink {
         DecisionSink {
             hash: FNV_OFFSET,
             log: Vec::new(),
-            keep,
+            line: keep.then(String::new),
         }
     }
 
-    pub(crate) fn push(&mut self, entry: String) {
-        for b in entry.as_bytes() {
-            self.hash ^= u64::from(*b);
-            self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        }
+    /// Append text to the current entry.
+    pub(crate) fn write(&mut self, args: fmt::Arguments<'_>) {
+        // writing into the hash cannot fail
+        let _ = fmt::Write::write_fmt(self, args);
+    }
+
+    /// Close the current entry.
+    pub(crate) fn end_entry(&mut self) {
         self.hash ^= u64::from(b'\n');
         self.hash = self.hash.wrapping_mul(FNV_PRIME);
-        if self.keep {
-            self.log.push(entry);
+        if let Some(line) = self.line.as_mut() {
+            self.log.push(std::mem::take(line));
         }
+    }
+
+    /// Write one whole entry.
+    pub(crate) fn push(&mut self, args: fmt::Arguments<'_>) {
+        self.write(args);
+        self.end_entry();
     }
 
     pub(crate) fn hash(&self) -> u64 {
@@ -123,10 +149,9 @@ pub(crate) struct ShardCore<'a> {
     /// drain traffic on probe recovery: probe verdicts are gated to
     /// rejects.
     draining: bool,
-    /// Appended to every decision-log entry (`" shard=N"` in a fleet,
-    /// empty for a one-shard run so its log stays byte-identical).
-    suffix: String,
     /// Shard id this core was created as (`None` for a one-shard run).
+    /// A fleet shard stamps `" shard=N"` on every decision-log entry; a
+    /// one-shard run writes none, so its log stays byte-identical.
     shard: Option<u32>,
     /// Drift-aware model lifecycle (`Some` once [`ShardCore::install_adapt`]
     /// ran with adaptation enabled).
@@ -166,7 +191,6 @@ impl<'a> ShardCore<'a> {
             retries: 0,
             seed,
             draining: false,
-            suffix: shard.map(|id| format!(" shard={id}")).unwrap_or_default(),
             shard,
             lifecycle: None,
             resp_hist,
@@ -204,12 +228,17 @@ impl<'a> ShardCore<'a> {
     }
 
     /// Push one decision-log entry, stamped with this shard's suffix.
-    fn log_entry(&self, sink: &mut DecisionSink, entry: String) {
-        if self.suffix.is_empty() {
-            sink.push(entry);
-        } else {
-            sink.push(entry + &self.suffix);
+    fn log_entry(&self, sink: &mut DecisionSink, entry: fmt::Arguments<'_>) {
+        sink.write(entry);
+        self.end_entry(sink);
+    }
+
+    /// Stamp the current entry with this shard's suffix and close it.
+    fn end_entry(&self, sink: &mut DecisionSink) {
+        if let Some(id) = self.shard {
+            sink.write(format_args!(" shard={id}"));
         }
+        sink.end_entry();
     }
 
     /// Earliest-free server (lowest index breaks ties).
@@ -286,7 +315,7 @@ impl<'a> ShardCore<'a> {
             }
             self.log_entry(
                 sink,
-                format!("seq={} disp=shed_deadline stage=queue", p.seq),
+                format_args!("seq={} disp=shed_deadline stage=queue", p.seq),
             );
             self.record_trace(p.ctx.take(), Disposition::ShedDeadline, start);
             return true;
@@ -336,7 +365,10 @@ impl<'a> ShardCore<'a> {
         if !predict_ok {
             self.servers[si] = start + predict_cost;
             self.acct.shed_failed += 1;
-            self.log_entry(sink, format!("seq={} disp=failed stage=predict", p.seq));
+            self.log_entry(
+                sink,
+                format_args!("seq={} disp=failed stage=predict", p.seq),
+            );
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::Predict, start, start + predict_cost)
                     .args
@@ -410,7 +442,7 @@ impl<'a> ShardCore<'a> {
             }
             self.log_entry(
                 sink,
-                format!("seq={} disp=shed_deadline stage=predict", p.seq),
+                format_args!("seq={} disp=shed_deadline stage=predict", p.seq),
             );
             self.record_trace(
                 p.ctx.take(),
@@ -431,7 +463,7 @@ impl<'a> ShardCore<'a> {
         if !decide_ok {
             self.servers[si] = start + total;
             self.acct.shed_failed += 1;
-            self.log_entry(sink, format!("seq={} disp=failed stage=decide", p.seq));
+            self.log_entry(sink, format_args!("seq={} disp=failed stage=decide", p.seq));
             if let Some(ctx) = p.ctx.as_mut() {
                 ctx.push_span(Stage::Decide, start + predict_cost, start + total)
                     .args
@@ -473,7 +505,7 @@ impl<'a> ShardCore<'a> {
         if p.ctx.is_some() {
             stca_obs::set_current_trace_id(0);
         }
-        let mut entry = format!(
+        sink.write(format_args!(
             "seq={} disp=ok tier={} ea={:016x} t={} applied={} resp={:016x}",
             p.seq,
             tier,
@@ -481,11 +513,11 @@ impl<'a> ShardCore<'a> {
             idx,
             self.hyst.applied(),
             resp.to_bits(),
-        );
+        ));
         if served_version > 0 {
-            entry.push_str(&format!(" v={served_version}"));
+            sink.write(format_args!(" v={served_version}"));
         }
-        self.log_entry(sink, entry);
+        self.end_entry(sink);
         // advance the model lifecycle with this completion; any drift,
         // retrain, shadow, promotion, or rollback it produces is logged
         // (and traced) at this request's completion time
@@ -525,12 +557,15 @@ impl<'a> ShardCore<'a> {
         for ev in events {
             match ev {
                 AdaptEvent::Drift { score } => {
-                    self.log_entry(sink, format!("event=drift score={:016x}", score.to_bits()));
+                    self.log_entry(
+                        sink,
+                        format_args!("event=drift score={:016x}", score.to_bits()),
+                    );
                 }
                 AdaptEvent::Retrain { version, rows } => {
                     self.log_entry(
                         sink,
-                        format!("event=retrain version={version} rows={rows} outcome=ok"),
+                        format_args!("event=retrain version={version} rows={rows} outcome=ok"),
                     );
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
@@ -542,7 +577,7 @@ impl<'a> ShardCore<'a> {
                 AdaptEvent::RetrainFail { version } => {
                     self.log_entry(
                         sink,
-                        format!("event=retrain version={version} outcome=fail"),
+                        format_args!("event=retrain version={version} outcome=fail"),
                     );
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
@@ -554,7 +589,7 @@ impl<'a> ShardCore<'a> {
                 AdaptEvent::RetrainSlow { version } => {
                     self.log_entry(
                         sink,
-                        format!("event=retrain version={version} outcome=slow"),
+                        format_args!("event=retrain version={version} outcome=slow"),
                     );
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Retrain, now, now);
@@ -580,13 +615,13 @@ impl<'a> ShardCore<'a> {
                 } => {
                     self.log_entry(
                         sink,
-                        format!(
+                        format_args!(
                             "event=shadow_done version={version} agree={agree} scored={scored}"
                         ),
                     );
                 }
                 AdaptEvent::Promote { version } => {
-                    self.log_entry(sink, format!("event=promote version={version}"));
+                    self.log_entry(sink, format_args!("event=promote version={version}"));
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Promote, now, now);
                         span.args.push(("version", AttrValue::Num(*version as f64)));
@@ -595,14 +630,14 @@ impl<'a> ShardCore<'a> {
                 AdaptEvent::PromoteRefused { version, reason } => {
                     self.log_entry(
                         sink,
-                        format!("event=promote_refused version={version} reason={reason}"),
+                        format_args!("event=promote_refused version={version} reason={reason}"),
                     );
                 }
                 AdaptEvent::GuardPass { version } => {
-                    self.log_entry(sink, format!("event=guard_pass version={version}"));
+                    self.log_entry(sink, format_args!("event=guard_pass version={version}"));
                 }
                 AdaptEvent::Rollback { from, to } => {
-                    self.log_entry(sink, format!("event=rollback from={from} to={to}"));
+                    self.log_entry(sink, format_args!("event=rollback from={from} to={to}"));
                     if let Some(ctx) = ctx.as_deref_mut() {
                         let span = ctx.push_span(Stage::Rollback, now, now);
                         span.args.push(("from", AttrValue::Num(*from as f64)));
@@ -623,14 +658,14 @@ impl<'a> ShardCore<'a> {
             match self.cfg.overload {
                 OverloadPolicy::ShedNewest => {
                     self.acct.shed_overload += 1;
-                    self.log_entry(sink, format!("seq={} disp=shed_overload", p.seq));
+                    self.log_entry(sink, format_args!("seq={} disp=shed_overload", p.seq));
                     self.record_trace(p.ctx.take(), Disposition::ShedOverload, now);
                     return;
                 }
                 OverloadPolicy::ShedOldest => {
                     if let Some(mut old) = self.waiting.pop_front() {
                         self.acct.shed_overload += 1;
-                        self.log_entry(sink, format!("seq={} disp=shed_overload", old.seq));
+                        self.log_entry(sink, format_args!("seq={} disp=shed_overload", old.seq));
                         if let Some(ctx) = old.ctx.as_mut() {
                             ctx.push_span(Stage::QueueWait, old.arrival_s, now);
                         }
@@ -659,7 +694,7 @@ impl<'a> ShardCore<'a> {
             match self.waiting.pop_front() {
                 Some(mut p) => {
                     self.acct.drained += 1;
-                    self.log_entry(sink, format!("seq={} disp=drained", p.seq));
+                    self.log_entry(sink, format_args!("seq={} disp=drained", p.seq));
                     if let Some(ctx) = p.ctx.as_mut() {
                         ctx.push_span(Stage::QueueWait, p.arrival_s, deadline);
                         ctx.push_span(Stage::Drain, deadline, deadline);
@@ -786,6 +821,31 @@ mod tests {
             );
             assert!(core.acct.balanced(), "case {case}: {:?}", core.acct);
         }
+    }
+
+    #[test]
+    fn sink_hashes_the_log_bytes_whether_or_not_it_keeps_them() {
+        let write = |sink: &mut DecisionSink| {
+            sink.push(format_args!("seq={} disp=ok", 7));
+            sink.write(format_args!("seq=8 ea={:016x}", 1.5f64.to_bits()));
+            sink.write(format_args!(" v={}", 2));
+            sink.end_entry();
+        };
+        let mut kept = DecisionSink::new(true);
+        write(&mut kept);
+        let mut bare = DecisionSink::new(false);
+        write(&mut bare);
+        assert_eq!(kept.hash(), bare.hash());
+        assert!(bare.into_log().is_empty());
+        let hash = kept.hash();
+        let log = kept.into_log();
+        let second = format!("seq=8 ea={:016x} v=2", 1.5f64.to_bits());
+        assert_eq!(log, ["seq=7 disp=ok", second.as_str()]);
+        let file: String = log.iter().map(|l| format!("{l}\n")).collect();
+        let fnv = file.bytes().fold(FNV_OFFSET, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        });
+        assert_eq!(hash, fnv, "the hash is the FNV-1a of the log file");
     }
 
     #[test]

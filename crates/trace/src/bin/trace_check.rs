@@ -9,7 +9,6 @@
 //! on the first invalid artifact — the CI `trace-smoke` job gates on it.
 
 #![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used)]
 
 use std::path::Path;
 use std::process::ExitCode;

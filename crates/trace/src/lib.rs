@@ -16,7 +16,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![warn(clippy::unwrap_used)]
 
 pub mod chrome;
 pub mod recorder;

@@ -98,6 +98,14 @@ impl RuntimeCondition {
         }
     }
 
+    /// Draw `n` conditions for the pair with [`RuntimeCondition::random_pair`],
+    /// serially from one generator seeded with `seed` (the draw every
+    /// profiling run makes before running its conditions).
+    pub fn random_pairs(a: BenchmarkId, b: BenchmarkId, n: usize, seed: u64) -> Vec<Self> {
+        let mut rng = Rng64::new(seed);
+        (0..n).map(|_| Self::random_pair(a, b, &mut rng)).collect()
+    }
+
     /// Draw a uniformly random in-bounds condition for a chain of
     /// workloads (Figure 7b collocates more services on bigger caches).
     pub fn random_chain(benchmarks: &[BenchmarkId], rng: &mut Rng64) -> Self {

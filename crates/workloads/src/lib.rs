@@ -22,8 +22,6 @@
 //! grid of Table 2 (inter-arrival 25–95% of service rate, timeouts 0–600% of
 //! service time, counter sampling 0.2–1 Hz).
 
-#![warn(clippy::unwrap_used)]
-
 pub mod arrival;
 pub mod conditions;
 pub mod pattern;

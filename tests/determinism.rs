@@ -93,15 +93,14 @@ fn fault_injected_dataset_build_is_thread_count_invariant() {
     // counts too — including which conditions crash and retry
     let pair = (BenchmarkId::Knn, BenchmarkId::Bfs);
     let (serial, parallel) = at_1_and_8(|| {
-        stca_bench::dataset::build_pair_dataset_checked(
-            pair,
-            4,
+        stca_bench::dataset::run_conditions(
+            &RuntimeCondition::random_pairs(pair.0, pair.1, 4, 23),
             Scale::Quick,
             CounterOrdering::Grouped,
             23,
             &stca_fault::FaultPlan::heavy(),
             &stca_fault::RetryPolicy::with_max_retries(8),
-            None,
+            |spec| spec,
         )
         .expect("heavy plan survivable with retries")
     });

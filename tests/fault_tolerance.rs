@@ -8,7 +8,7 @@
 //! (retry exhaustion, sanitization, predictor fallbacks) are covered by the
 //! crates' own unit tests; this file exercises the composed pipeline.
 
-use stca_bench::dataset::build_pair_dataset_checked;
+use stca_bench::dataset::run_conditions;
 use stca_bench::Scale;
 use stca_core::{ModelConfig, PolicyExplorer, Predictor};
 use stca_fault::{FaultPlan, RetryPolicy, StcaError};
@@ -41,15 +41,14 @@ fn pipeline_survives_heavy_fault_plan() {
 
     // Stage 1: profiling under the plan — skips unlucky conditions but
     // never panics and never returns a damaged row
-    let dataset = build_pair_dataset_checked(
-        pair,
-        8,
+    let dataset = run_conditions(
+        &RuntimeCondition::random_pairs(pair.0, pair.1, 8, 0xFA117),
         Scale::Quick,
         CounterOrdering::Grouped,
         0xFA117,
         &plan,
         &retry,
-        None,
+        |spec| spec,
     )
     .expect("heavy plan is survivable with retries");
     assert!(!dataset.is_empty());
@@ -101,15 +100,14 @@ fn all_conditions_failing_is_an_error_not_a_panic() {
     let mut plan = FaultPlan::none();
     plan.seed = 2;
     plan.crash_prob = 1.0;
-    let err = build_pair_dataset_checked(
-        (BenchmarkId::Knn, BenchmarkId::Bfs),
-        2,
+    let err = run_conditions(
+        &RuntimeCondition::random_pairs(BenchmarkId::Knn, BenchmarkId::Bfs, 2, 7),
         Scale::Quick,
         CounterOrdering::Grouped,
         7,
         &plan,
         &RetryPolicy::none(),
-        None,
+        |spec| spec,
     )
     .expect_err("every condition crashes on every attempt");
     assert!(matches!(err, StcaError::InvalidInput { .. }));
